@@ -718,30 +718,35 @@ impl ChordNet {
     // Traced routing (observability layer)
     // ------------------------------------------------------------------
 
-    /// [`Self::probe`] with the full visited path: read-only, charges into
-    /// the caller's delta exactly like `probe`, but returns a [`Lookup`] so
-    /// trace reports can show the route. Only the tracing/diagnostic query
-    /// path pays the path allocation.
-    pub fn probe_full(
+    /// [`Self::probe`] that additionally emits the walk's events into
+    /// `sink`: one [`MsgKind::LookupHop`] per node contacted, the dead
+    /// probes and in-flight drops (attributed to the origin — the dead
+    /// targets are no longer addressable peers), and the hop-histogram
+    /// entry of a completed lookup. A failed walk emits what it billed
+    /// before giving up, so recorder totals equal the `NetStats` bill on
+    /// any ring. `route`, when given, receives the origin plus every node
+    /// contacted. With [`NullTrace`](crate::trace::NullTrace) and no
+    /// `route` this *is* `probe` — the path bookkeeping compiles out.
+    #[allow(clippy::too_many_arguments)]
+    pub fn probe_traced<T: TraceSink>(
         &self,
         from: RingId,
         key: RingId,
         stats: &mut NetStats,
-    ) -> Result<Lookup, ChordError> {
-        let mut path = Vec::new();
-        let (result, hops, failed, lost) = self.walk(from, key, Some(&mut path));
+        phase: Phase,
+        tick: u64,
+        sink: &mut T,
+        route: Option<&mut Vec<RingId>>,
+    ) -> Result<LookupLite, ChordError> {
+        let (result, hops, failed, lost) = self.walk_traced(from, key, phase, tick, sink, route);
         stats.charge_route(MsgKind::LookupHop, hops, failed, lost, result.is_ok());
-        result.map(|lite| Lookup {
-            owner: lite.owner,
-            hops: lite.hops,
-            path,
-        })
+        result
     }
 
-    /// [`Self::lookup_fast`] that additionally emits one event per routing
-    /// hop (and per failed probe) into `sink`. Charging is bit-identical to
-    /// the untraced call; when `T::ENABLED` is false this *is* the untraced
-    /// call — the path bookkeeping compiles out.
+    /// [`Self::lookup_fast`] that additionally emits the walk's events
+    /// into `sink` (see [`Self::probe_traced`] — same walk, charged to the
+    /// network's own counters). Charging is bit-identical to the untraced
+    /// call.
     pub fn lookup_fast_traced<T: TraceSink>(
         &mut self,
         from: RingId,
@@ -750,53 +755,46 @@ impl ChordNet {
         tick: u64,
         sink: &mut T,
     ) -> Result<LookupLite, ChordError> {
-        if !T::ENABLED {
-            return self.lookup_fast(from, key);
-        }
-        let mut path = Vec::new();
-        let (result, hops, failed, lost) = self.walk(from, key, Some(&mut path));
+        let (result, hops, failed, lost) = self.walk_traced(from, key, phase, tick, sink, None);
         self.stats
             .charge_route(MsgKind::LookupHop, hops, failed, lost, result.is_ok());
+        result
+    }
+
+    /// [`Self::walk`] plus its trace events; the caller charges the tally.
+    fn walk_traced<T: TraceSink>(
+        &self,
+        from: RingId,
+        key: RingId,
+        phase: Phase,
+        tick: u64,
+        sink: &mut T,
+        route: Option<&mut Vec<RingId>>,
+    ) -> (Result<LookupLite, ChordError>, u32, u64, u64) {
+        if !T::ENABLED {
+            return self.walk(from, key, route);
+        }
+        let mut own = Vec::new();
+        let path = route.unwrap_or(&mut own);
+        let walked = self.walk(from, key, Some(path));
+        let (ref result, hops, failed, lost) = walked;
+        let event = |peer, kind| Event {
+            tick,
+            peer,
+            kind,
+            phase,
+        };
         // `path` holds the origin plus every intermediate node contacted:
         // exactly `hops` hop messages target `path[1..]`.
         for &peer in path.iter().skip(1) {
-            sink.emit(Event {
-                tick,
-                peer,
-                kind: MsgKind::LookupHop,
-                phase,
-            });
+            sink.emit(event(peer, MsgKind::LookupHop));
         }
-        if failed > 0 {
-            // Timeout probes are attributed to the walk's origin: the dead
-            // targets are no longer addressable peers.
-            sink.emit_n(
-                Event {
-                    tick,
-                    peer: from,
-                    kind: MsgKind::Failed,
-                    phase,
-                },
-                failed,
-            );
-        }
-        if lost > 0 {
-            // In-flight drops are likewise attributed to the origin; the
-            // stats side already billed them via `charge_route`.
-            sink.emit_n(
-                Event {
-                    tick,
-                    peer: from,
-                    kind: MsgKind::Timeout,
-                    phase,
-                },
-                lost,
-            );
-        }
+        sink.emit_n(event(from, MsgKind::Failed), failed);
+        sink.emit_n(event(from, MsgKind::Timeout), lost);
         if result.is_ok() {
             sink.lookup_done(hops);
         }
-        result
+        walked
     }
 
     /// [`Self::charge`] that also emits the matching trace event. Query-path

@@ -17,12 +17,15 @@ use crate::peer::TermStat;
 /// terms the document contains (§5.3). 0 for an empty query.
 #[must_use]
 pub fn q_score(query: &Query, doc: &Document) -> f64 {
-    let distinct = query.term_counts();
-    if distinct.is_empty() {
+    let distinct = query.distinct_len();
+    if distinct == 0 {
         return 0.0;
     }
-    let matched = distinct.iter().filter(|(t, _)| doc.contains(*t)).count();
-    matched as f64 / distinct.len() as f64
+    let matched = query
+        .term_counts()
+        .filter(|(t, _)| doc.contains(*t))
+        .count();
+    matched as f64 / distinct as f64
 }
 
 /// `Score(t, D) = qScore_max · log₁₀(QF)` — the combined term score of

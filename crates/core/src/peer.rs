@@ -87,7 +87,8 @@ pub fn posting_list_wire_size(entries: &[IndexEntry]) -> usize {
 /// current iteration and the last iteration", §5.3).
 #[derive(Clone, Debug)]
 pub struct CachedQuery {
-    /// The query keywords.
+    /// The query keywords (a [`Query`] clone shares its term storage, so
+    /// filing one query at each of its keywords' peers allocates nothing).
     pub query: Query,
     /// MD5 of the query's canonical form — precomputed, used by the
     /// closest-hash deduplication of §3.

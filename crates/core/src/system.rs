@@ -26,16 +26,13 @@ use sprite_chord::{
     TraceSink,
 };
 use sprite_corpus::DocEvent;
-use sprite_ir::{Corpus, DocId, Hit, Query, Similarity, TermId};
+use sprite_ir::{Corpus, DocId, Hit, Query, TermId};
 use sprite_util::{derive_rng, EventQueue, Md5, RingId, WireSize};
 
 use crate::config::{IdfMode, SpriteConfig};
 use crate::learn;
-use crate::peer::{
-    posting_list_wire_size, removal_wire_size, term_record_wire_size, IndexEntry, IndexingState,
-    OwnerDoc,
-};
-use crate::view::QueryView;
+use crate::peer::{removal_wire_size, term_record_wire_size, IndexEntry, IndexingState, OwnerDoc};
+use crate::view::{QueryView, RankScratch};
 
 /// Outcome counters of one learning iteration.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -104,6 +101,8 @@ pub struct SpriteSystem {
     query_seq: u64,
     /// Rotates the issuing peer across queries.
     issue_cursor: usize,
+    /// Ranking buffers of the live query path, kept across queries.
+    rank_scratch: RankScratch,
     /// Lazily computed exact document frequencies (ablation oracle).
     true_dfs: Option<Vec<u32>>,
     /// Per-key replica sets resolved during publishing (`oracle_replicas`
@@ -242,6 +241,7 @@ impl SpriteSystem {
             term_pos,
             query_seq: 0,
             issue_cursor: 0,
+            rank_scratch: RankScratch::new(),
             true_dfs: None,
             replica_cache: HashMap::new(),
             tracer: None,
@@ -443,13 +443,6 @@ impl SpriteSystem {
         }
     }
 
-    /// Exact corpus document frequency of `term` (the ablation oracle;
-    /// computed once on first use).
-    pub fn true_df(&mut self, term: TermId) -> usize {
-        self.ensure_true_dfs();
-        self.true_dfs.as_ref().expect("just filled")[term.index()] as usize
-    }
-
     /// Ring position of a term (MD5 of its string form, cached).
     pub fn term_ring(&mut self, term: TermId) -> RingId {
         if let Some(p) = self.term_pos[term.index()] {
@@ -527,7 +520,8 @@ impl SpriteSystem {
 
     /// MD5 of a query's canonical form (sorted term strings joined by a
     /// space) — precomputable offline by any peer, as §3 notes.
-    pub fn query_hash(&mut self, query: &Query) -> RingId {
+    #[must_use]
+    pub fn query_hash(&self, query: &Query) -> RingId {
         let mut h = Md5::new();
         let mut first = true;
         for (t, _) in query.term_counts() {
@@ -687,14 +681,18 @@ impl SpriteSystem {
         }
     }
 
-    /// Store one index record at `peer` (order-independent sorted insert).
-    fn install_entry(&mut self, peer: RingId, term: TermId, entry: IndexEntry) {
+    /// The indexing-role state of `peer`, created empty on first contact.
+    fn indexing_entry(&mut self, peer: RingId) -> &mut IndexingState {
         let cap = self.cfg.query_cache_capacity;
         let packed = self.cfg.packed_postings;
         self.indexing
             .entry(peer.0)
             .or_insert_with(|| IndexingState::with_packing(cap, packed))
-            .publish(term, entry);
+    }
+
+    /// Store one index record at `peer` (order-independent sorted insert).
+    fn install_entry(&mut self, peer: RingId, term: TermId, entry: IndexEntry) {
+        self.indexing_entry(peer).publish(term, entry);
     }
 
     /// Send one data-bearing record `origin → dest` through the delivery
@@ -1131,7 +1129,10 @@ impl SpriteSystem {
     }
 
     /// [`Self::issue_query_from`] under an explicit sink — results and
-    /// charges are bit-identical whether the sink records or not.
+    /// charges are bit-identical whether the sink records or not. A user
+    /// query is the [`QueryView`] kernel plus one side effect (§5.1): every
+    /// keyword's indexing peer files the query in its history for later
+    /// learning.
     fn issue_query_from_with<T: TraceSink>(
         &mut self,
         from: RingId,
@@ -1141,152 +1142,23 @@ impl SpriteSystem {
         sink: &mut T,
     ) -> Vec<Hit> {
         if query.is_empty() || !self.net.contains(from) {
-            return Vec::new();
+            return Vec::new(); // rejected queries consume no sequence number
         }
         self.query_seq += 1;
         let seq = self.query_seq;
         let qhash = self.query_hash(query);
-        let msgs_before = self.net.stats().total_messages();
-        let mut replicas_probed: u64 = 0;
-
-        // Phase 1 — contact each keyword's indexing peer: fetch the inverted
-        // list and leave the query in that peer's history.
-        struct TermFetch {
-            term: TermId,
-            qtf: u32,
-            entries: Vec<IndexEntry>,
+        self.warm_query_terms([query]);
+        let mut scratch = std::mem::take(&mut self.rank_scratch);
+        let mut delta = NetStats::new();
+        let hits =
+            self.query_view()
+                .query_traced(from, query, k, &mut delta, &mut scratch, tick, sink);
+        self.net.absorb_stats(&delta);
+        for &owner in scratch.contacted() {
+            self.indexing_entry(owner)
+                .cache_query(query.clone(), qhash, seq);
         }
-        let mut fetches: Vec<TermFetch> = Vec::with_capacity(query.distinct_len());
-        for (term, qtf) in query.term_counts() {
-            let key = self.term_ring(term);
-            let lookup = match self
-                .net
-                .lookup_fast_traced(from, key, Phase::Query, tick, sink)
-            {
-                Ok(l) => l,
-                Err(_) => {
-                    // §7 degradation: the routed walk dead-ended (every
-                    // successor-list entry probed was dead). Charge the
-                    // abandoned retry and drop the keyword — ranking
-                    // proceeds on the terms that are still reachable.
-                    self.net
-                        .charge_traced(MsgKind::Timeout, Phase::Query, tick, from, sink);
-                    continue;
-                }
-            };
-            self.net
-                .charge_traced(MsgKind::QueryFetch, Phase::Query, tick, lookup.owner, sink);
-            let cap = self.cfg.query_cache_capacity;
-            let packed = self.cfg.packed_postings;
-            let st = self
-                .indexing
-                .entry(lookup.owner.0)
-                .or_insert_with(|| IndexingState::with_packing(cap, packed));
-            st.cache_query(query.clone(), qhash, seq);
-            let mut entries = st.entries(term);
-            // Every fetch response bills its exact wire size: the empty
-            // list is a single zero-count byte.
-            self.net.charge_bytes_traced(
-                MsgKind::QueryFetch,
-                posting_list_wire_size(&entries) as u64,
-                sink,
-            );
-            // Failover when the routed peer holds no list (it may have
-            // taken over an arc after a failure, §7): walk the owner's
-            // successor chain — never the oracle — and retry each live
-            // replica in turn. A fully-dead replica set leaves the term
-            // with no entries; ranking degrades to partial results.
-            if entries.is_empty() && self.cfg.replication > 1 {
-                let mut delta = NetStats::new();
-                let replicas = self.net.replicas_from_owner_traced(
-                    lookup.owner,
-                    self.cfg.replication,
-                    &mut delta,
-                    Phase::Query,
-                    tick,
-                    sink,
-                );
-                self.net.absorb_stats(&delta);
-                for peer in replicas.into_iter().skip(1) {
-                    self.net
-                        .charge_traced(MsgKind::QueryFetch, Phase::Query, tick, peer, sink);
-                    replicas_probed += 1;
-                    let list = self
-                        .indexing
-                        .get(&peer.0)
-                        .map(|rep| rep.entries(term))
-                        .unwrap_or_default();
-                    self.net.charge_bytes_traced(
-                        MsgKind::QueryFetch,
-                        posting_list_wire_size(&list) as u64,
-                        sink,
-                    );
-                    if !list.is_empty() {
-                        entries = list;
-                        break;
-                    }
-                }
-            }
-            fetches.push(TermFetch { term, qtf, entries });
-        }
-
-        // Phase 2 — consolidate at the querying peer and rank (§4): indexed
-        // document frequency as n′_k, the assumed large N, Lee similarity.
-        let n = self.cfg.assumed_n;
-        let mut dot: HashMap<DocId, f64> = HashMap::new();
-        let mut norm_sq: HashMap<DocId, f64> = HashMap::new();
-        let mut meta: HashMap<DocId, u32> = HashMap::new();
-        for f in &fetches {
-            let df = match self.cfg.idf_mode {
-                crate::config::IdfMode::Indexed => f.entries.len(),
-                crate::config::IdfMode::TrueDf => self.true_df(f.term),
-            };
-            if df == 0 || f.entries.is_empty() {
-                continue;
-            }
-            let idf = (n / df as f64).ln();
-            if idf <= 0.0 {
-                continue;
-            }
-            let w_q = f64::from(f.qtf) * idf;
-            for e in &f.entries {
-                let w_d = if e.doc_len == 0 {
-                    0.0
-                } else {
-                    (f64::from(e.tf) / f64::from(e.doc_len)) * idf
-                };
-                *dot.entry(e.doc).or_insert(0.0) += w_q * w_d;
-                *norm_sq.entry(e.doc).or_insert(0.0) += w_d * w_d;
-                meta.insert(e.doc, e.distinct);
-            }
-        }
-        let mut hits: Vec<Hit> = dot
-            .into_iter()
-            .map(|(doc, num)| {
-                let denom = match self.cfg.similarity {
-                    Similarity::LeeSecond => f64::from(meta[&doc]).sqrt(),
-                    // Distributed cosine can only normalize over the
-                    // *retrieved* term weights (ablation configuration).
-                    Similarity::CosineTfIdf => norm_sq[&doc].sqrt(),
-                };
-                let score = if denom > 0.0 { num / denom } else { 0.0 };
-                Hit { doc, score }
-            })
-            .collect();
-        hits.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.doc.cmp(&b.doc))
-        });
-        hits.truncate(k);
-        if T::ENABLED {
-            sink.query_done(
-                self.net.stats().total_messages() - msgs_before,
-                replicas_probed,
-                hits.len(),
-            );
-        }
+        self.rank_scratch = scratch;
         hits
     }
 

@@ -1,29 +1,34 @@
-//! The read-only query fast path.
+//! The query kernel.
 //!
 //! [`QueryView`] is a frozen snapshot of a [`crate::SpriteSystem`]: it
 //! borrows the ring, the indexing-peer states, and the precomputed
 //! term→ring positions immutably, so any number of threads can rank
-//! queries against it concurrently. It exists because evaluation is
-//! logically read-only, yet `issue_query` takes `&mut self` for three
-//! pieces of bookkeeping the *measurement* phase does not want anyway:
+//! queries against it concurrently. Its private `query_impl` is the **only**
+//! route-fetch-rank implementation in the workspace; every caller — the
+//! parallel evaluation, the batched pipeline, the traced and diagnostic
+//! flavors, and the live user path — goes through it.
 //!
-//! * **query caching / `query_seq`** — evaluation queries are probes of
+//! In the paper a user query (§4) differs from a measurement probe in one
+//! way only: each keyword's indexing peer also files the query in its
+//! history for later learning (§5.1/§5.3). The code has the same shape:
+//! [`crate::SpriteSystem::issue_query_from`] runs this kernel over its own
+//! [`RankScratch`], merges the [`NetStats`] delta, and then files the query
+//! at every owner the kernel reports in [`RankScratch::contacted`]. The
+//! kernel itself never mutates the deployment, which is what measurement
+//! wants:
+//!
+//! * **no query caching / `query_seq`** — evaluation queries are probes of
 //!   current quality, not training examples; caching them would leak the
 //!   test set into the next learning iteration (train/test hygiene);
-//! * **the round-robin issue cursor** — the view takes an explicit `from`
-//!   peer per query instead, so the issuing peer depends only on the
-//!   query's position in the workload, not on global mutable state;
-//! * **`NetStats` charging** — the view charges an identical message bill
-//!   into a caller-owned [`NetStats`] delta; per-query deltas merged in
-//!   input order reproduce the sequential totals bit-for-bit because every
-//!   `NetStats` field is a sum or a max.
+//! * **no round-robin issue cursor** — the view takes an explicit `from`
+//!   peer per query, so the issuing peer depends only on the query's
+//!   position in the workload, not on global mutable state;
+//! * **caller-owned `NetStats`** — the message bill goes into a delta;
+//!   per-query deltas merged in input order reproduce the one-at-a-time
+//!   totals bit-for-bit because every `NetStats` field is a sum or a max.
 //!
-//! Ranking matches [`crate::SpriteSystem::issue_query_from`] exactly —
-//! same routing walk, same per-keyword fetch charges, same replica
-//! failover, same floating-point accumulation order — so hit lists and
-//! scores are bit-identical to the sequential path. [`RankScratch`] keeps
-//! the per-thread accumulation maps alive across queries so the hot loop
-//! stops reallocating them.
+//! [`RankScratch`] keeps the accumulation arrays alive across queries so
+//! the hot loop stops reallocating them.
 
 use std::collections::HashMap;
 
@@ -45,8 +50,10 @@ use crate::trace::{KeywordTrace, QueryTrace};
 /// hit sort is a total order over `(score, doc)`, so ranked lists are
 /// bit-identical to the historical hash-map accumulation (scores are
 /// summed per document in the same posting order either way). The
-/// contents never survive a query — only the allocations do.
-#[derive(Debug, Default)]
+/// contents never survive a query — only the allocations do — except
+/// [`RankScratch::contacted`], which reports the last query's routed owners
+/// to the live path's cache side effect.
+#[derive(Clone, Debug, Default)]
 pub struct RankScratch {
     dot: Vec<f64>,
     norm_sq: Vec<f64>,
@@ -55,6 +62,7 @@ pub struct RankScratch {
     current: u32,
     touched: Vec<DocId>,
     hits: Vec<Hit>,
+    contacted: Vec<RingId>,
 }
 
 impl RankScratch {
@@ -64,11 +72,21 @@ impl RankScratch {
         Self::default()
     }
 
+    /// The indexing peer each keyword of the last query routed to, in the
+    /// query's sorted term order — one entry per keyword that resolved
+    /// (dead-ended keywords contact nobody; failover replicas are not
+    /// listed: §5.1 files a query at the peer *responsible* for the term).
+    #[must_use]
+    pub fn contacted(&self) -> &[RingId] {
+        &self.contacted
+    }
+
     /// Start a new query over a corpus of `docs` documents: bump the epoch
     /// (stale slots die wholesale) and size the dense arrays on first use.
     fn begin(&mut self, docs: usize) {
         self.touched.clear();
         self.hits.clear();
+        self.contacted.clear();
         if self.epoch.len() < docs {
             self.dot.resize(docs, 0.0);
             self.norm_sq.resize(docs, 0.0);
@@ -150,9 +168,8 @@ impl<'a> QueryView<'a> {
     }
 
     /// Rank `query` issued from peer `from`, charging the message bill into
-    /// `stats`. Identical results and charges to
-    /// [`crate::SpriteSystem::issue_query_from`], minus the query-caching
-    /// side effects (see the module docs for why those are dropped here).
+    /// `stats`: [`crate::SpriteSystem::issue_query_from`] without the
+    /// query-caching side effect (see the module docs).
     #[must_use]
     pub fn query(
         &self,
@@ -297,29 +314,34 @@ impl<'a> QueryView<'a> {
         let n = self.cfg.assumed_n;
         for (term, qtf) in query.term_counts() {
             let key = self.term_ring(term);
-            let need_path = T::ENABLED || qt.is_some();
             let dead_before = stats.count(MsgKind::Failed) + stats.count(MsgKind::Timeout);
-            // Resolve the keyword's indexing peer. The path-carrying probe
-            // charges exactly like the lite one; only traced callers pay
-            // the allocation.
-            let resolved = if need_path {
-                self.net
-                    .probe_full(from, key, stats)
-                    .map(|l| (l.owner, l.hops, l.path))
-            } else if let Some(memo) = memo {
-                self.net
-                    .probe_via(memo, from, key, stats)
-                    .map(|l| (l.owner, l.hops, Vec::new()))
-            } else {
-                self.net
-                    .probe(from, key, stats)
-                    .map(|l| (l.owner, l.hops, Vec::new()))
+            // Resolve the keyword's indexing peer: a memoized replay for the
+            // batched pipeline, else the one traced walk (which is the
+            // plain walk unless the sink records or a report wants the
+            // route).
+            let mut route = Vec::new();
+            let resolved = match memo {
+                Some(memo) if !T::ENABLED && qt.is_none() => {
+                    self.net.probe_via(memo, from, key, stats)
+                }
+                _ => self.net.probe_traced(
+                    from,
+                    key,
+                    stats,
+                    Phase::Query,
+                    tick,
+                    sink,
+                    qt.is_some().then_some(&mut route),
+                ),
             };
-            let (owner, hops, route) = match resolved {
-                Ok(r) => r,
+            let (owner, hops) = match resolved {
+                Ok(l) => (l.owner, l.hops),
                 Err(_) => {
-                    // §7 degradation, mirroring `issue_query_from`: charge
-                    // the abandoned retry and drop the keyword.
+                    // §7 degradation: the routed walk dead-ended (every
+                    // successor-list entry probed was dead) or drowned in
+                    // flight. Charge the abandoned retry and drop the
+                    // keyword — ranking proceeds on the terms that are
+                    // still reachable.
                     trace::charge(stats, sink, tick, from, MsgKind::Timeout, Phase::Query);
                     if let Some(q) = qt.as_deref_mut() {
                         let timeouts = stats.count(MsgKind::Failed) + stats.count(MsgKind::Timeout)
@@ -340,17 +362,7 @@ impl<'a> QueryView<'a> {
                     continue;
                 }
             };
-            if T::ENABLED {
-                for &peer in route.iter().skip(1) {
-                    sink.emit(trace::Event {
-                        tick,
-                        peer,
-                        kind: MsgKind::LookupHop,
-                        phase: Phase::Query,
-                    });
-                }
-                sink.lookup_done(hops);
-            }
+            scratch.contacted.push(owner);
             trace::charge(stats, sink, tick, owner, MsgKind::QueryFetch, Phase::Query);
             let mut postings: Option<&PostingList> =
                 self.indexing.get(&owner.0).and_then(|st| st.postings(term));
@@ -366,9 +378,10 @@ impl<'a> QueryView<'a> {
             let mut failover: Vec<RingId> = Vec::new();
             let mut served_by = if owner_hit { Some(owner) } else { None };
             // Failover when the routed peer holds no list (it may have
-            // taken over an arc after a failure, §7): same routed
-            // successor-chain walk as the sequential path, charged into
-            // the caller's delta.
+            // taken over an arc after a failure, §7): walk the owner's
+            // successor chain — never the oracle — and retry each live
+            // replica in turn. A fully-dead replica set leaves the term
+            // with no entries; ranking degrades to partial results.
             if !owner_hit && self.cfg.replication > 1 {
                 let replicas = self.net.replicas_from_owner_traced(
                     owner,
@@ -418,9 +431,10 @@ impl<'a> QueryView<'a> {
                     entries: n_entries,
                 });
             }
-            // Accumulate immediately (§4 ranking). Terms arrive in the same
-            // sorted order as the sequential path's fetch list, so the
-            // floating-point addition order per document is identical.
+            // Accumulate immediately (§4 ranking): indexed document
+            // frequency as n′_k, the assumed large N. Terms arrive in sorted
+            // order, which fixes the floating-point addition order per
+            // document.
             let df = match self.cfg.idf_mode {
                 IdfMode::Indexed => n_entries,
                 IdfMode::TrueDf => self.true_dfs.map_or(0, |d| d[term.index()] as usize),
@@ -451,6 +465,8 @@ impl<'a> QueryView<'a> {
             let num = scratch.dot[i];
             let denom = match self.cfg.similarity {
                 Similarity::LeeSecond => f64::from(scratch.meta[i]).sqrt(),
+                // Distributed cosine can only normalize over the
+                // *retrieved* term weights (ablation configuration).
                 Similarity::CosineTfIdf => scratch.norm_sq[i].sqrt(),
             };
             let score = if denom > 0.0 { num / denom } else { 0.0 };
@@ -514,44 +530,6 @@ mod tests {
             Query::new(vec![p3[1], p3[1], p0[2]]),
             Query::new(vec![TermId(0), TermId(1), TermId(2)]),
         ]
-    }
-
-    #[test]
-    fn view_matches_issue_query_from_exactly() {
-        for cfg in [
-            SpriteConfig::default(),
-            SpriteConfig {
-                replication: 3,
-                ..SpriteConfig::default()
-            },
-            SpriteConfig {
-                similarity: Similarity::CosineTfIdf,
-                idf_mode: IdfMode::TrueDf,
-                ..SpriteConfig::default()
-            },
-        ] {
-            let mut sys = tiny_system(cfg);
-            let queries = probe_queries(&sys);
-            let peers = sys.peers().to_vec();
-            for (i, q) in queries.iter().enumerate() {
-                let from = peers[(i * 3) % peers.len()];
-                // View first (read-only), then the mutating reference path.
-                let mut delta = NetStats::new();
-                let mut scratch = RankScratch::new();
-                let view_hits = {
-                    let view = sys.query_view();
-                    view.query(from, q, 20, &mut delta, &mut scratch)
-                };
-                sys.net_mut().reset_stats();
-                let seq_hits = sys.issue_query_from(from, q, 20);
-                assert_eq!(view_hits.len(), seq_hits.len(), "query {i}");
-                for (a, b) in view_hits.iter().zip(&seq_hits) {
-                    assert_eq!(a.doc, b.doc, "query {i}");
-                    assert_eq!(a.score.to_bits(), b.score.to_bits(), "query {i}");
-                }
-                assert_eq!(&delta, sys.net().stats(), "charges differ, query {i}");
-            }
-        }
     }
 
     #[test]

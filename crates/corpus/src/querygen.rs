@@ -215,7 +215,7 @@ fn phase1_terms(
     cfg: &GenConfig,
     rng: &mut sprite_util::DetRng,
 ) -> Query {
-    let orig: Vec<TermId> = original.term_counts().iter().map(|&(t, _)| t).collect();
+    let orig: Vec<TermId> = original.term_counts().map(|(t, _)| t).collect();
     let keep_n = ((cfg.overlap * orig.len() as f64).round() as usize).min(orig.len());
     let mut shuffled = orig.clone();
     shuffled.shuffle(rng);
@@ -431,7 +431,6 @@ mod tests {
             let shared = q
                 .query
                 .term_counts()
-                .iter()
                 .filter(|(t, _)| orig.contains(*t))
                 .count();
             let keep_n = (cfg.overlap * orig.distinct_len() as f64).round() as usize;

@@ -27,4 +27,6 @@ pub use eval::{
     RatioEval,
 };
 pub use index::{InvertedIndex, Posting};
-pub use rank::{idf, tfidf_weight, CentralizedEngine, Hit, Query, SearchScratch, Similarity};
+pub use rank::{
+    idf, tfidf_weight, CentralizedEngine, Hit, Query, SearchScratch, Similarity, TermCounts,
+};

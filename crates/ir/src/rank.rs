@@ -13,6 +13,8 @@
 //! `N` and `n_k`. Every experiment reports SPRITE/eSearch quality as a ratio
 //! over this engine's results.
 
+use std::sync::Arc;
+
 use sprite_util::{varint_len, WireSize};
 
 use crate::doc::{Corpus, DocId, TermId};
@@ -66,10 +68,19 @@ pub struct Hit {
 /// A keyword query: a bag of term ids.
 ///
 /// Duplicates are allowed and act as term weights (`w_Qj` scales with the
-/// query-side term frequency).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
+/// query-side term frequency). Immutable once built, and clones share the
+/// term storage: a query is filed at every indexing peer it touches and
+/// shipped back to owners during learning, and none of those copies
+/// allocates.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Query {
-    terms: Vec<TermId>,
+    terms: Arc<[TermId]>,
+}
+
+impl Default for Query {
+    fn default() -> Self {
+        Query::new(Vec::new())
+    }
 }
 
 impl Query {
@@ -77,7 +88,9 @@ impl Query {
     #[must_use]
     pub fn new(mut terms: Vec<TermId>) -> Self {
         terms.sort_unstable();
-        Query { terms }
+        Query {
+            terms: terms.into(),
+        }
     }
 
     /// The term ids (sorted, duplicates preserved).
@@ -86,23 +99,17 @@ impl Query {
         &self.terms
     }
 
-    /// Distinct term ids with their in-query counts.
+    /// Distinct term ids with their in-query counts, ascending by term:
+    /// the runs of the sorted term list, read in place.
     #[must_use]
-    pub fn term_counts(&self) -> Vec<(TermId, u32)> {
-        let mut out: Vec<(TermId, u32)> = Vec::new();
-        for &t in &self.terms {
-            match out.last_mut() {
-                Some(last) if last.0 == t => last.1 += 1,
-                _ => out.push((t, 1)),
-            }
-        }
-        out
+    pub fn term_counts(&self) -> TermCounts<'_> {
+        TermCounts { rest: &self.terms }
     }
 
     /// Distinct term count `|Q|` (used by `qScore`, §5.3).
     #[must_use]
     pub fn distinct_len(&self) -> usize {
-        self.term_counts().len()
+        self.term_counts().count()
     }
 
     /// Number of terms including duplicates.
@@ -124,6 +131,24 @@ impl Query {
     }
 }
 
+/// Run-length iterator over a query's sorted terms (see
+/// [`Query::term_counts`]).
+#[derive(Clone, Debug)]
+pub struct TermCounts<'a> {
+    rest: &'a [TermId],
+}
+
+impl Iterator for TermCounts<'_> {
+    type Item = (TermId, u32);
+
+    fn next(&mut self) -> Option<(TermId, u32)> {
+        let &term = self.rest.first()?;
+        let run = self.rest.iter().take_while(|&&t| t == term).count();
+        self.rest = &self.rest[run..];
+        Some((term, run as u32))
+    }
+}
+
 impl From<Vec<TermId>> for Query {
     fn from(terms: Vec<TermId>) -> Self {
         Query::new(terms)
@@ -135,10 +160,9 @@ impl WireSize for Query {
     /// delta-encoded as ascending gaps, and each term's in-query count —
     /// the payload an indexing peer ships back during learning returns.
     fn wire_size(&self) -> usize {
-        let counts = self.term_counts();
-        let mut n = varint_len(counts.len() as u64);
+        let mut n = varint_len(self.distinct_len() as u64);
         let mut prev = 0u64;
-        for (i, &(t, c)) in counts.iter().enumerate() {
+        for (i, (t, c)) in self.term_counts().enumerate() {
             let tid = t.index() as u64;
             n += if i == 0 {
                 varint_len(tid)
@@ -358,7 +382,12 @@ mod tests {
     #[test]
     fn query_term_counts() {
         let query = Query::new(vec![TermId(2), TermId(1), TermId(2)]);
-        assert_eq!(query.term_counts(), vec![(TermId(1), 1), (TermId(2), 2)]);
+        assert_eq!(
+            query.term_counts().collect::<Vec<_>>(),
+            vec![(TermId(1), 1), (TermId(2), 2)]
+        );
+        assert_eq!(Query::default().term_counts().next(), None);
+        assert_eq!(Query::default().distinct_len(), 0);
         assert_eq!(query.distinct_len(), 2);
         assert_eq!(query.len(), 3);
         assert!(query.contains(TermId(2)));

@@ -2,9 +2,16 @@
 //! through the Chord ring to ranked answers and the paper's evaluation
 //! pipeline.
 
-use sprite::core::{fig4a, fig4c, SpriteConfig, SpriteSystem, World, WorldConfig};
+use std::collections::BTreeMap;
+
+use sprite::chord::{MsgKind, NetStats, SimConfig, TraceRecorder};
+use sprite::core::{
+    fig4a, fig4c, IdfMode, IndexingState, RankScratch, SpriteConfig, SpriteSystem, World,
+    WorldConfig,
+};
 use sprite::corpus::{CorpusConfig, Schedule, SyntheticCorpus};
-use sprite::ir::{evaluate_hits_at_k, DocId, Query};
+use sprite::ir::{evaluate_hits_at_k, DocId, Query, Similarity, TermId};
+use sprite::util::{derive_rng, RingId};
 
 fn tiny_world() -> World {
     World::build(WorldConfig::tiny(77))
@@ -171,7 +178,6 @@ fn index_remove_retires_a_document_end_to_end() {
     // document must bill IndexRemove traffic (visible to both the stats
     // ledger and the trace recorder), strip the document's entries from
     // every replica, and make it unreachable by the queries that found it.
-    use sprite::chord::MsgKind;
     let sc = SyntheticCorpus::generate(&CorpusConfig::tiny(47));
     let cfg = SpriteConfig {
         replication: 2,
@@ -256,4 +262,288 @@ fn text_pipeline_integrates_with_ir() {
     let hits = engine.search(&q, 3);
     assert!(!hits.is_empty());
     assert_eq!(hits[0].doc, DocId(1), "the retrieval doc should rank first");
+}
+
+// ---------------------------------------------------------------------
+// Live queries: the `QueryView` kernel plus the §5.1 cache side effect.
+// ---------------------------------------------------------------------
+
+/// A 200-document deployment over `n_peers` peers with nothing published.
+fn tiny_deployment(cfg: SpriteConfig, n_peers: usize) -> SpriteSystem {
+    let sc = SyntheticCorpus::generate(&CorpusConfig::tiny(17));
+    SpriteSystem::build(sc.corpus().clone(), n_peers, cfg, 17)
+}
+
+/// Single-term, multi-term, repeated-term and never-indexed queries.
+fn probe_queries(sys: &SpriteSystem) -> Vec<Query> {
+    let a = sys.corpus().doc(DocId(0)).top_frequent_terms(5);
+    let b = sys.corpus().doc(DocId(3)).top_frequent_terms(5);
+    vec![
+        Query::new(vec![a[0]]),
+        Query::new(vec![a[0], a[1], b[0]]),
+        Query::new(vec![b[1], b[1], a[2]]),
+        Query::new(vec![TermId(0), TermId(1), TermId(2)]),
+    ]
+}
+
+/// A seeded stream of `n` live requests from the deployment's alive peers.
+fn live_stream(sys: &SpriteSystem, n: usize) -> Vec<(RingId, Query)> {
+    let queries = probe_queries(sys);
+    let peers = sys.peers();
+    let mut rng = derive_rng(17, "live-stream");
+    (0..n)
+        .map(|_| {
+            let from = peers[rng.gen_range(0..peers.len())];
+            (from, queries[rng.gen_range(0..queries.len())].clone())
+        })
+        .collect()
+}
+
+/// Every indexing peer holds exactly what §5.1 says it holds once `stream`
+/// was issued live (sequence numbers from 1): one `(query, qhash, seq)` per
+/// keyword routed there — resolved here with the plain walk, not the
+/// kernel — oldest evicted at capacity, nothing at capacity 0; and every
+/// routed owner has indexing state, an empty one if it had none.
+fn assert_histories(sys: &SpriteSystem, stream: &[(RingId, Query)]) {
+    let cap = sys.config().query_cache_capacity;
+    let mut expected: BTreeMap<u128, Vec<(Query, RingId, u64)>> = BTreeMap::new();
+    for (i, (from, q)) in stream.iter().enumerate() {
+        for (t, _) in q.term_counts() {
+            let key = RingId::hash_term(sys.corpus().vocab().term(t));
+            let Ok(l) = sys.net().probe(*from, key, &mut NetStats::new()) else {
+                continue; // a dead-ended keyword contacts nobody
+            };
+            let history = expected.entry(l.owner.0).or_default();
+            if cap > 0 {
+                if history.len() == cap {
+                    history.remove(0);
+                }
+                history.push((q.clone(), sys.query_hash(q), i as u64 + 1));
+            }
+        }
+    }
+    for peer in sys.indexing_peers() {
+        let got: Vec<(Query, RingId, u64)> = sys
+            .indexing_state(peer)
+            .expect("listed peer has state")
+            .queries_since(0)
+            .map(|c| (c.query.clone(), c.qhash, c.seq))
+            .collect();
+        let want = expected.remove(&peer.0).unwrap_or_default();
+        assert_eq!(got, want, "history of {peer:?}");
+    }
+    assert!(expected.is_empty(), "a routed owner has no indexing state");
+}
+
+/// The recorder saw exactly what the bill charged, kind by kind.
+fn assert_recorder_matches(rec: &TraceRecorder, bill: &NetStats, queries: usize) {
+    for kind in MsgKind::all() {
+        assert_eq!(rec.kind_count(kind), bill.count(kind), "{kind:?} events");
+        assert_eq!(rec.kind_bytes(kind), bill.bytes(kind), "{kind:?} bytes");
+    }
+    assert_eq!(rec.events(), bill.total_messages());
+    assert_eq!(rec.hops_per_lookup().count(), bill.lookups());
+    assert_eq!(rec.queries(), queries as u64);
+}
+
+fn cached_queries(sys: &SpriteSystem, peer: RingId) -> usize {
+    sys.indexing_state(peer)
+        .map_or(0, IndexingState::cached_queries)
+}
+
+#[test]
+fn live_query_is_the_view_query_plus_the_cache_side_effect() {
+    // A live query returns what `QueryView::query` returns and bills what
+    // it bills, bit for bit; a recording sink sees the whole bill on either
+    // path; and the query is left in the history of each keyword's indexing
+    // peer. (configuration, peers, publish first?, churned and lossy ring?)
+    // On the 2-peer ring some of a query's three keywords must share an
+    // owner, which then files the query once per keyword.
+    let with = |f: fn(&mut SpriteConfig)| {
+        let mut cfg = SpriteConfig::default();
+        f(&mut cfg);
+        cfg
+    };
+    for (cfg, n_peers, publish, damaged) in [
+        (with(|c| c.query_cache_capacity = 3), 2, true, false),
+        (with(|c| c.query_cache_capacity = 0), 24, false, false),
+        (with(|c| c.replication = 3), 24, true, false),
+        (
+            with(|c| {
+                c.similarity = Similarity::CosineTfIdf;
+                c.idf_mode = IdfMode::TrueDf;
+            }),
+            24,
+            true,
+            false,
+        ),
+        (with(|c| c.replication = 2), 24, true, true),
+    ] {
+        let mut sys = tiny_deployment(cfg, n_peers);
+        if damaged {
+            sys.net_mut().set_sim(SimConfig {
+                seed: 5,
+                loss: 0.15,
+                latency: 10,
+                jitter: 5,
+                ..SimConfig::default()
+            });
+        }
+        if publish {
+            sys.publish_all();
+        }
+        if damaged {
+            // Churn without repair: stale fingers and successor entries.
+            let victims: Vec<RingId> = sys.peers().iter().copied().step_by(5).take(4).collect();
+            for v in victims {
+                sys.net_mut().fail(v).expect("alive until now");
+            }
+            sys.refresh_peers();
+        }
+        let stream = live_stream(&sys, 80);
+        // Rejected queries consume no sequence number (learning watermarks
+        // depend on it): the stream below is still filed as 1, 2, 3, ...
+        let alive = sys.peers()[0];
+        assert!(sys
+            .issue_query_from(alive, &Query::default(), 20)
+            .is_empty());
+        assert!(!sys.net().contains(RingId(7)));
+        assert!(sys.issue_query_from(RingId(7), &stream[0].1, 20).is_empty());
+
+        let mut bill = NetStats::new();
+        let mut view_rec = TraceRecorder::new();
+        let mut scratch = RankScratch::new();
+        sys.net_mut().reset_stats();
+        sys.enable_tracing();
+        for (i, (from, q)) in stream.iter().enumerate() {
+            let view_hits = sys.query_view().query_traced(
+                *from,
+                q,
+                20,
+                &mut bill,
+                &mut scratch,
+                i as u64,
+                &mut view_rec,
+            );
+            let live_hits = sys.issue_query_from(*from, q, 20);
+            assert_eq!(view_hits.len(), live_hits.len(), "query {i}");
+            for (a, b) in view_hits.iter().zip(&live_hits) {
+                assert_eq!((a.doc, a.score.to_bits()), (b.doc, b.score.to_bits()));
+            }
+        }
+        let live_rec = sys.take_tracer().expect("tracing was enabled");
+        assert_eq!(&bill, sys.net().stats(), "the live bill is the view bill");
+        assert_recorder_matches(&view_rec, &bill, stream.len());
+        assert_recorder_matches(&live_rec, &bill, stream.len());
+        assert_eq!(damaged, bill.count(MsgKind::Failed) > 0, "dead probes");
+        assert_eq!(damaged, bill.count(MsgKind::Timeout) > 0, "link drops");
+        assert_histories(&sys, &stream);
+        if !publish {
+            let owners = sys.indexing_peers();
+            assert!(!owners.is_empty(), "routed owners gained state");
+            for p in owners {
+                let st = sys.indexing_state(p).expect("listed peer has state");
+                assert_eq!(st.indexed_terms(), 0);
+            }
+        }
+    }
+}
+
+#[test]
+fn dead_ended_keywords_bill_a_timeout_and_file_nothing() {
+    let mut sys = tiny_deployment(SpriteConfig::default(), 16);
+    sys.publish_all();
+    let from = sys.peers()[0];
+    // Every successor `from` knows fails, unrepaired: each of its walks
+    // dead-ends on the spot after probing the whole list.
+    let node = sys.net().node(from).expect("alive");
+    let succ = node.successor_list().to_vec();
+    for &s in &succ {
+        sys.net_mut().fail(s).expect("alive until now");
+    }
+    let filed = |sys: &SpriteSystem| -> Vec<u64> {
+        let peers = sys.indexing_peers();
+        let states = peers.iter().filter_map(|&p| sys.indexing_state(p));
+        states
+            .flat_map(|st| st.queries_since(0).map(|c| c.seq))
+            .collect()
+    };
+    let q = probe_queries(&sys)[1].clone();
+    let keywords = q.distinct_len() as u64;
+    sys.net_mut().reset_stats();
+    assert!(sys.issue_query_from(from, &q, 20).is_empty());
+    let bill = sys.net().stats();
+    assert_eq!(bill.count(MsgKind::Timeout), keywords);
+    assert_eq!(bill.count(MsgKind::Failed), keywords * succ.len() as u64);
+    assert_eq!(bill.total_messages(), keywords * (1 + succ.len() as u64));
+    assert!(filed(&sys).is_empty(), "nobody was contacted");
+    // The dead-ended query still took sequence number 1: the next query
+    // that reaches an owner is filed as number 2.
+    let routes = |p: RingId, t: TermId| {
+        let key = RingId::hash_term(sys.corpus().vocab().term(t));
+        sys.net().probe(p, key, &mut NetStats::new()).is_ok()
+    };
+    let alive = sys.peers().iter().filter(|&&p| sys.net().contains(p));
+    let (from2, t) = alive
+        .flat_map(|&p| q.term_counts().map(move |(t, _)| (p, t)))
+        .find(|&(p, t)| routes(p, t))
+        .expect("some live peer still routes some keyword");
+    let _ = sys.issue_query_from(from2, &Query::new(vec![t]), 20);
+    assert_eq!(filed(&sys), [2]);
+}
+
+#[test]
+fn failover_files_the_query_at_the_routed_owner_only() {
+    let cfg = SpriteConfig {
+        replication: 3,
+        ..SpriteConfig::default()
+    };
+    let mut sys = tiny_deployment(cfg, 16);
+    sys.publish_all();
+    let t = sys.published_terms(DocId(0))[0];
+    let q = Query::new(vec![t]);
+    let from = sys.peers()[0];
+    let key = sys.term_ring(t);
+    let routed = sys.net().probe(from, key, &mut NetStats::new());
+    let owner = routed.expect("converged ring").owner;
+    // The routed owner loses its list (as if it had just taken over the
+    // arc, §7); its replicas still hold theirs.
+    sys.indexing_state_mut(owner)
+        .expect("the owner indexes the term")
+        .inject_raw(t, Vec::new());
+    let (mut bill, mut scratch) = (NetStats::new(), RankScratch::new());
+    let view = sys.query_view();
+    let (_, report) = view.query_trace(from, &q, 20, &mut bill, &mut scratch);
+    let served_by = report.keywords[0].served_by.expect("a replica serves");
+    assert_ne!(served_by, owner);
+    let before = (cached_queries(&sys, owner), cached_queries(&sys, served_by));
+    assert!(!sys.issue_query_from(from, &q, 20).is_empty());
+    let after = (cached_queries(&sys, owner), cached_queries(&sys, served_by));
+    assert_eq!(after, (before.0 + 1, before.1));
+}
+
+#[test]
+fn learning_from_live_queries_ends_in_the_pinned_index() {
+    // The cache side effect is what learning eats: if what a live query
+    // files (which peers, which order, which sequence numbers) drifts, two
+    // learning iterations end in a different index. The fingerprints are
+    // those of the commit before the query paths were merged.
+    use sprite::audit::determinism::{fingerprint_index, fingerprint_owners};
+
+    let world = tiny_world();
+    let mut sys = world.new_system(SpriteConfig::default());
+    sys.publish_all();
+    world.issue(&mut sys, &world.train, Schedule::WithoutRepeats);
+    sys.learning_iteration();
+    sys.learning_iteration();
+    assert_eq!(
+        fingerprint_index(&sys),
+        0x9d431a682f8a2876d2f45144337f25ee,
+        "index fingerprint"
+    );
+    assert_eq!(
+        fingerprint_owners(&sys),
+        0x185993f8d2af1218d8f84b95d54a68a3,
+        "owner-state fingerprint"
+    );
 }

@@ -92,7 +92,7 @@ fn q_score_bounds() {
         let query = gen_query(&mut r);
         let s = q_score(&query, &doc);
         assert!((0.0..=1.0).contains(&s));
-        let all_in = query.term_counts().iter().all(|(t, _)| doc.contains(*t));
+        let all_in = query.term_counts().all(|(t, _)| doc.contains(t));
         assert_eq!(s == 1.0, all_in);
     }
 }
@@ -156,7 +156,6 @@ mod workload {
                     let shared = gq
                         .query
                         .term_counts()
-                        .iter()
                         .filter(|(t, _)| orig.contains(*t))
                         .count();
                     assert!(
