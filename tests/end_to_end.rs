@@ -547,3 +547,92 @@ fn learning_from_live_queries_ends_in_the_pinned_index() {
         "owner-state fingerprint"
     );
 }
+
+// ---------------------------------------------------------------------
+// Pinned fingerprints for the one storage layout, publish path and
+// deletion strategy. Each run used to be checked against a twin built
+// with the other mode (map store, plain postings, unbatched publish);
+// the values are those of the last commit where the twins existed.
+// ---------------------------------------------------------------------
+
+#[test]
+fn replicated_deployment_ends_in_the_pinned_index_results_and_bill() {
+    use sprite::audit::determinism::{
+        fingerprint_index, fingerprint_stats, parallel_results_fingerprint,
+    };
+
+    let seed = 2026;
+    let sc = SyntheticCorpus::generate(&CorpusConfig::tiny(seed));
+    let queries: Vec<Query> = sc
+        .seed_queries()
+        .iter()
+        .take(8)
+        .map(|s| s.query.clone())
+        .collect();
+    let cfg = SpriteConfig {
+        replication: 2,
+        ..SpriteConfig::default()
+    };
+    let mut sys = SpriteSystem::build(sc.corpus().clone(), 24, cfg, seed);
+    sys.publish_all();
+    sys.replicate_indexes();
+    sys.learning_iteration();
+    sys.fail_random_peers(2, seed + 1);
+    assert_eq!(
+        fingerprint_index(&sys),
+        0x88e9daa7348aa286f122c62eb4475ae1,
+        "index fingerprint"
+    );
+    assert_eq!(
+        parallel_results_fingerprint(&mut sys, &queries, 4),
+        0x282e695c5ad1be790b57bffd09921699,
+        "4-worker results fingerprint"
+    );
+    assert_eq!(
+        fingerprint_stats(sys.net().stats()),
+        0x21feb3cc295953e848d738f03f1a9d79,
+        "message and byte bill"
+    );
+}
+
+#[test]
+fn document_lifecycle_ends_in_the_pinned_state() {
+    let audit = sprite::audit::audit_lifecycle(2026);
+    assert_eq!(
+        audit.fingerprint, 0xb1973f6291ec9a5f08b8ee2352ecd5f6,
+        "lifecycle fingerprint"
+    );
+    assert!(audit.no_resurrection, "a query surfaced a deleted document");
+    assert!(audit.tombstones_cleared, "tombstones survived maintenance");
+}
+
+#[test]
+fn ring_churn_schedule_passes_through_the_pinned_rings() {
+    use sprite::audit::determinism::fingerprint_ring;
+    use sprite::chord::{ChordConfig, ChordNet};
+
+    let seed = 2026u64;
+    let mut net = ChordNet::with_random_nodes(ChordConfig::default(), 96, seed);
+    let built = fingerprint_ring(&net);
+    for id in net.node_ids().iter().step_by(11) {
+        net.fail(*id).expect("listed node is alive");
+    }
+    net.converge(64);
+    let failed = fingerprint_ring(&net);
+    for i in 0..8u64 {
+        let id = RingId::hash_bytes(format!("storage-audit-{seed}-{i}").as_bytes());
+        let bootstrap = net.node_ids()[0];
+        net.join(id, bootstrap).expect("bootstrap is alive");
+    }
+    net.converge(64);
+    let joined = fingerprint_ring(&net);
+    assert_eq!(
+        [built, failed, joined],
+        [
+            0x621660482ca9a1bd37cca34753cea19b,
+            0x742b6dde6767b4093ed1cd5e6a383098,
+            0xed8d8989705c7deee337f7afab4e353f
+        ],
+        "ring fingerprints after build, failures + repair, joins + repair"
+    );
+}
