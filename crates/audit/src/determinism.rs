@@ -11,8 +11,7 @@
 //! nondeterminism to the subsystem that stage exercised.
 
 use sprite_chord::{
-    ChordConfig, ChordNet, ChurnConfig, ChurnEngine, MsgKind, NetStats, Phase, SimConfig,
-    StorageBackend, TraceRecorder,
+    ChordNet, ChurnConfig, ChurnEngine, MsgKind, NetStats, Phase, SimConfig, TraceRecorder,
 };
 use sprite_core::{RankScratch, SpriteConfig, SpriteSystem};
 use sprite_corpus::{CorpusConfig, DocChurnConfig, DocChurnEngine, SyntheticCorpus};
@@ -315,75 +314,6 @@ pub fn traced_parallel_fingerprints(
     out
 }
 
-/// Outcome of the batched-vs-unbatched publication equivalence audit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BatchingAudit {
-    /// Published index contents are bit-identical across modes.
-    pub index_match: bool,
-    /// Per-kind payload byte totals are equal across modes (records are
-    /// encoded independently, so a batch's size is the sum of its records).
-    pub bytes_match: bool,
-    /// Batching strictly reduced the publish + replication message count.
-    pub fewer_messages: bool,
-    /// Replay fingerprint over both runs' index and stats state.
-    pub fingerprint: u128,
-}
-
-impl BatchingAudit {
-    /// True when every clause of the batching contract holds.
-    #[must_use]
-    pub fn passed(&self) -> bool {
-        self.index_match && self.bytes_match && self.fewer_messages
-    }
-}
-
-/// Publish the reference corpus twice from `seed` — once with
-/// [`SpriteConfig::batched_publish`] on, once off — and audit the batching
-/// contract: identical index contents, equal per-kind payload bytes,
-/// strictly fewer publish/replication messages. Replication degree 2 so
-/// both the publish and the replica legs of the batch are exercised.
-#[must_use]
-pub fn audit_batching(seed: u64) -> BatchingAudit {
-    let sc = SyntheticCorpus::generate(&CorpusConfig::tiny(seed));
-    let build = |batched: bool| {
-        let cfg = SpriteConfig {
-            replication: 2,
-            batched_publish: batched,
-            ..SpriteConfig::default()
-        };
-        let mut sys = SpriteSystem::build(sc.corpus().clone(), 24, cfg, seed);
-        sys.publish_all();
-        sys
-    };
-    let on = build(true);
-    let off = build(false);
-    let data_msgs = |sys: &SpriteSystem| {
-        sys.net().stats().count(MsgKind::IndexPublish)
-            + sys.net().stats().count(MsgKind::Replication)
-    };
-    let kind_bytes = |sys: &SpriteSystem| -> Vec<u64> {
-        MsgKind::all()
-            .iter()
-            .map(|&k| sys.net().stats().bytes(k))
-            .collect()
-    };
-    let mut h = Md5::new();
-    for fp in [
-        fingerprint_index(&on),
-        fingerprint_index(&off),
-        fingerprint_stats(on.net().stats()),
-        fingerprint_stats(off.net().stats()),
-    ] {
-        feed_u128(&mut h, fp);
-    }
-    BatchingAudit {
-        index_match: fingerprint_index(&on) == fingerprint_index(&off),
-        bytes_match: kind_bytes(&on) == kind_bytes(&off),
-        fewer_messages: data_msgs(&on) < data_msgs(&off),
-        fingerprint: h.finalize().as_u128(),
-    }
-}
-
 /// Outcome of the network-model simulation audit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SimAudit {
@@ -485,118 +415,24 @@ pub fn audit_sim(seed: u64) -> SimAudit {
     }
 }
 
-/// Outcome of the storage-representation audit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StorageAudit {
-    /// The map and arena node stores produced bit-identical rings through
-    /// an identical build + churn + repair schedule.
-    pub ring_backends_match: bool,
-    /// Packed (delta-gap-compressed) and plain posting lists produced
-    /// bit-identical index fingerprints through publish, replication,
-    /// learning, and hand-over.
-    pub index_packing_match: bool,
-    /// Ranked lists and billed stats are bit-identical across the two
-    /// posting representations.
-    pub results_match: bool,
-    /// Two scale-tier runs (arena + packed, the defaults) from the same
-    /// seed replayed bit for bit.
-    pub replay_match: bool,
-    /// Replay fingerprint over the scale-tier run.
-    pub fingerprint: u128,
-}
-
-impl StorageAudit {
-    /// True when every clause of the representation contract holds.
-    #[must_use]
-    pub fn passed(&self) -> bool {
-        self.ring_backends_match
-            && self.index_packing_match
-            && self.results_match
-            && self.replay_match
-    }
-}
-
-/// Audit the scale-tier storage representations: the arena node store
-/// against the historical map, and delta-gap-compressed posting lists
-/// against the plain layout. Both swaps must be *invisible* — same ring
-/// fingerprints through an identical churn schedule, same index and
-/// ranked-list fingerprints through publish/replicate/learn/hand-over —
-/// and the scale-tier defaults must replay bit for bit from the same
-/// seed. The ≥100k-peer tier itself is exercised by the `scale` smoke
-/// runner; this audit proves the representations it relies on are exact
-/// at a speed a unit test can afford.
-#[must_use]
-pub fn audit_storage(seed: u64) -> StorageAudit {
-    // Ring side: identical build + churn + repair schedule on both
-    // backends, fingerprinted after every mutation batch.
-    let ring_fp = |backend: StorageBackend| {
-        let cfg = ChordConfig {
-            backend,
-            ..ChordConfig::default()
-        };
-        let mut net = ChordNet::with_random_nodes(cfg, 96, seed);
-        let ids = net.node_ids();
-        let mut h = Md5::new();
-        feed_u128(&mut h, fingerprint_ring(&net));
-        for id in ids.iter().step_by(11) {
-            net.fail(*id).expect("listed node is alive");
-        }
-        net.converge(64);
-        feed_u128(&mut h, fingerprint_ring(&net));
-        for i in 0..8u64 {
-            let id =
-                sprite_util::RingId::hash_bytes(format!("storage-audit-{seed}-{i}").as_bytes());
-            let bootstrap = net.node_ids()[0];
-            net.join(id, bootstrap).expect("bootstrap is alive");
-        }
-        net.converge(64);
-        feed_u128(&mut h, fingerprint_ring(&net));
-        h.finalize().as_u128()
+/// Fingerprint of a replicated deployment driven through every path that
+/// writes a posting list — bulk publish, successor replication, a learning
+/// iteration, abrupt failure with hand-over and repair — then queried by
+/// four pool workers: index contents plus ranked lists and their bill.
+fn replicated_index_fingerprint(sc: &SyntheticCorpus, queries: &[Query], seed: u64) -> u128 {
+    let cfg = SpriteConfig {
+        replication: 2,
+        ..SpriteConfig::default()
     };
-    let ring_map = ring_fp(StorageBackend::Map);
-    let ring_arena = ring_fp(StorageBackend::Arena);
-
-    // Index side: one full deployment per posting representation, through
-    // every path that touches a posting list — publish, replication,
-    // learning, abrupt failure with hand-over/repair — then queries.
-    let sc = SyntheticCorpus::generate(&CorpusConfig::tiny(seed));
-    let queries: Vec<Query> = sc
-        .seed_queries()
-        .iter()
-        .take(8)
-        .map(|s| s.query.clone())
-        .collect();
-    let run = |packed: bool| -> (u128, u128) {
-        let cfg = SpriteConfig {
-            replication: 2,
-            packed_postings: packed,
-            ..SpriteConfig::default()
-        };
-        let mut sys = SpriteSystem::build(sc.corpus().clone(), 24, cfg, seed);
-        sys.publish_all();
-        sys.replicate_indexes();
-        sys.learning_iteration();
-        sys.fail_random_peers(2, seed.wrapping_add(1));
-        (
-            fingerprint_index(&sys),
-            parallel_results_fingerprint(&mut sys, &queries, 4),
-        )
-    };
-    let packed_a = run(true);
-    let plain = run(false);
-    let packed_b = run(true);
-
+    let mut sys = SpriteSystem::build(sc.corpus().clone(), 24, cfg, seed);
+    sys.publish_all();
+    sys.replicate_indexes();
+    sys.learning_iteration();
+    sys.fail_random_peers(2, seed.wrapping_add(1));
     let mut h = Md5::new();
-    for fp in [ring_map, ring_arena, packed_a.0, packed_a.1] {
-        feed_u128(&mut h, fp);
-    }
-    StorageAudit {
-        ring_backends_match: ring_map == ring_arena,
-        index_packing_match: packed_a.0 == plain.0,
-        results_match: packed_a.1 == plain.1,
-        replay_match: packed_a == packed_b,
-        fingerprint: h.finalize().as_u128(),
-    }
+    feed_u128(&mut h, fingerprint_index(&sys));
+    feed_u128(&mut h, parallel_results_fingerprint(&mut sys, queries, 4));
+    h.finalize().as_u128()
 }
 
 /// Outcome of the live-corpus lifecycle audit.
@@ -607,9 +443,6 @@ pub struct LifecycleAudit {
     pub replay_match: bool,
     /// The post-churn evaluation is bit-identical at 1 vs 4 pool workers.
     pub parallel_match: bool,
-    /// The map node store reproduced the arena default through the full
-    /// insert/update/delete lifecycle.
-    pub backends_match: bool,
     /// No query — issued mid-churn with tombstones still pending, or
     /// after the closing maintenance round — surfaced a deleted document.
     pub no_resurrection: bool,
@@ -623,11 +456,7 @@ impl LifecycleAudit {
     /// True when every clause of the lifecycle contract holds.
     #[must_use]
     pub fn passed(&self) -> bool {
-        self.replay_match
-            && self.parallel_match
-            && self.backends_match
-            && self.no_resurrection
-            && self.tombstones_cleared
+        self.replay_match && self.parallel_match && self.no_resurrection && self.tombstones_cleared
     }
 }
 
@@ -636,10 +465,10 @@ impl LifecycleAudit {
 /// replicated deployment, with maintenance rounds interleaved and queries
 /// issued between mutations. The contract has two halves: the mutation
 /// stream is *deterministic* (same seed ⇒ same mutated index, ranked
-/// lists, and stats, at any worker count and on either node-store
-/// backend), and deletion is *airtight* (no query ever surfaces a deleted
-/// document — not while its tombstones are pending, not after replica
-/// repair — and the closing maintenance round clears every tombstone).
+/// lists, and stats, at any worker count), and deletion is *airtight*
+/// (no query ever surfaces a deleted document — not while its tombstones
+/// are pending, not after replica repair — and the closing maintenance
+/// round clears every tombstone).
 #[must_use]
 pub fn audit_lifecycle(seed: u64) -> LifecycleAudit {
     let sc = SyntheticCorpus::generate(&CorpusConfig::tiny(seed));
@@ -649,12 +478,12 @@ pub fn audit_lifecycle(seed: u64) -> LifecycleAudit {
         .take(8)
         .map(|s| s.query.clone())
         .collect();
-    let run = |backend: StorageBackend, threads: usize| -> (u128, u64, u64) {
+    let run = |threads: usize| -> (u128, u64, u64) {
         let cfg = SpriteConfig {
             replication: 2,
             ..SpriteConfig::default()
         };
-        let mut sys = SpriteSystem::build_with_backend(sc.corpus().clone(), 24, cfg, seed, backend);
+        let mut sys = SpriteSystem::build(sc.corpus().clone(), 24, cfg, seed);
         sys.publish_all();
         sys.replicate_indexes();
         let mut engine = DocChurnEngine::new(
@@ -695,17 +524,15 @@ pub fn audit_lifecycle(seed: u64) -> LifecycleAudit {
         feed_u128(&mut h, fingerprint_stats(sys.net().stats()));
         (h.finalize().as_u128(), deleted_hits, pending)
     };
-    let default_a = run(StorageBackend::default(), 4);
-    let default_b = run(StorageBackend::default(), 4);
-    let sequential = run(StorageBackend::default(), 1);
-    let map = run(StorageBackend::Map, 4);
+    let parallel_a = run(4);
+    let parallel_b = run(4);
+    let sequential = run(1);
     LifecycleAudit {
-        replay_match: default_a == default_b,
-        parallel_match: sequential.0 == default_a.0,
-        backends_match: map.0 == default_a.0,
-        no_resurrection: default_a.1 == 0 && map.1 == 0,
-        tombstones_cleared: default_a.2 == 0 && map.2 == 0,
-        fingerprint: default_a.0,
+        replay_match: parallel_a == parallel_b,
+        parallel_match: sequential.0 == parallel_a.0,
+        no_resurrection: parallel_a.1 == 0,
+        tombstones_cleared: parallel_a.2 == 0,
+        fingerprint: parallel_a.0,
     }
 }
 
@@ -793,14 +620,7 @@ pub fn run_trace(seed: u64) -> Trace {
         parallel_results_fingerprint(&mut sys, &queries, 4),
     ));
 
-    // Fourteenth stage: the wire/batching contract. Two fresh deployments
-    // publish the same corpus with batching on and off; the fingerprint
-    // covers both modes' index contents and full stats (message counts
-    // *and* payload bytes), so any nondeterminism in the batch flush order
-    // or a byte-accounting drift between the modes diverges here.
-    stages.push(("wire/batching", audit_batching(seed).fingerprint));
-
-    // Fifteenth stage: the event-driven delivery layer. Three fresh
+    // Fourteenth stage: the event-driven delivery layer. Three fresh
     // deployments — default, explicit perfect model, lossy model — whose
     // fingerprint covers all three runs' indexes, ranked lists, and stats.
     // Nondeterministic drop sampling, a retry that consumes shared RNG
@@ -808,13 +628,17 @@ pub fn run_trace(seed: u64) -> Trace {
     // diverge here.
     stages.push(("sim/loss", audit_sim(seed).fingerprint));
 
-    // Sixteenth stage: the scale-tier storage representations. The arena
-    // node store must mirror the map through churn, compressed postings
-    // must fingerprint identically to plain through every index-mutating
-    // path, and the scale-tier defaults must replay bit for bit.
-    stages.push(("storage/packed", audit_storage(seed).fingerprint));
+    // Fifteenth stage: a fresh replication-2 deployment through every
+    // path that writes a posting list (batched publish, successor
+    // replication, learning, abrupt failure with hand-over and repair),
+    // then four-worker ranking. A batch flush, transfer or hand-over that
+    // installs in hash order diverges here.
+    stages.push((
+        "index/replicated",
+        replicated_index_fingerprint(&sc, &queries, seed),
+    ));
 
-    // Seventeenth stage: live corpus dynamics. A seeded document-churn
+    // Sixteenth stage: live corpus dynamics. A seeded document-churn
     // run — topic-shaped inserts, incremental updates, lazy deletions
     // with interleaved maintenance — whose fingerprint covers the mutated
     // index, owner state, ranked lists, and stats. A victim pool drawn in
@@ -860,28 +684,17 @@ pub fn audit_determinism(seed: u64) -> DeterminismReport {
         (Some(plain), Some(batched)) if plain != batched => Some("query/batched"),
         _ => None,
     };
-    // The batching contract is enforced *within* a run, like the tracing
-    // contract: a batched deployment that drifts from its unbatched twin
-    // (contents, bytes, or a failure to actually coalesce) fails the audit
-    // even though both replays agree with each other.
-    let batching_divergence = (!audit_batching(seed).passed()).then_some("wire/batching");
     // The delivery-layer contract too: perfect ⇒ bit-identical to the
     // default run, lossy ⇒ deterministic drops billed as real timeouts.
     let sim_divergence = (!audit_sim(seed).passed()).then_some("sim/loss");
-    // The storage contract likewise: a backend or posting-representation
-    // swap that is visible anywhere fails the audit even when both
-    // replays agree with each other.
-    let storage_divergence = (!audit_storage(seed).passed()).then_some("storage/packed");
     // And the lifecycle contract: a document-churn run whose replays
     // agree but that resurrects a deleted document, strands a tombstone,
-    // or drifts across worker counts or backends fails the audit.
+    // or drifts across worker counts fails the audit.
     let lifecycle_divergence = (!audit_lifecycle(seed).passed()).then_some("corpus/lifecycle");
     let first_divergence = replay_divergence
         .or(batched_divergence)
         .or(tracing_divergence)
-        .or(batching_divergence)
         .or(sim_divergence)
-        .or(storage_divergence)
         .or(lifecycle_divergence);
     DeterminismReport {
         passed: first_divergence.is_none(),
@@ -902,7 +715,7 @@ mod tests {
             "first divergent stage: {:?}",
             report.first_divergence
         );
-        assert_eq!(report.stages, 17);
+        assert_eq!(report.stages, 16);
     }
 
     #[test]
@@ -913,33 +726,11 @@ mod tests {
             audit.parallel_match,
             "the post-churn evaluation depends on the worker count"
         );
-        assert!(
-            audit.backends_match,
-            "the node-store backend leaked into the lifecycle run"
-        );
         assert!(audit.no_resurrection, "a query surfaced a deleted document");
         assert!(
             audit.tombstones_cleared,
             "tombstones survived the closing maintenance round"
         );
-    }
-
-    #[test]
-    fn storage_audit_upholds_the_representation_contract() {
-        let audit = audit_storage(2026);
-        assert!(
-            audit.ring_backends_match,
-            "the arena node store diverged from the map through churn"
-        );
-        assert!(
-            audit.index_packing_match,
-            "compressed postings fingerprint differently from plain"
-        );
-        assert!(
-            audit.results_match,
-            "the posting representation leaked into ranked lists or stats"
-        );
-        assert!(audit.replay_match, "scale-tier replay diverged");
     }
 
     #[test]
@@ -955,17 +746,6 @@ mod tests {
             "lossy evaluation depends on the worker count"
         );
         assert!(audit.timeouts_fired, "the lossy run billed no timeouts");
-    }
-
-    #[test]
-    fn batched_publication_is_equivalent_and_cheaper() {
-        let audit = audit_batching(2026);
-        assert!(audit.index_match, "batching changed published contents");
-        assert!(audit.bytes_match, "batching changed per-kind payload bytes");
-        assert!(
-            audit.fewer_messages,
-            "batching failed to reduce the publish message count"
-        );
     }
 
     #[test]
@@ -1058,7 +838,7 @@ mod tests {
 
     #[test]
     fn batched_pipeline_matches_unbatched_bit_for_bit() {
-        // The fourteenth-stage contract, stated directly: serving every
+        // The `query/batched` contract, stated directly: serving every
         // query through one shared route memo reproduces the unbatched
         // fan-out exactly — ranked lists and merged stats — at any worker
         // count, including over a churned ring where some walks fail.

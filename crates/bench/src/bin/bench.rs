@@ -233,10 +233,9 @@ fn main() {
     // ------------------------------------------------------------------
     let memory = sprite_bench::metrics::collect_memory(&world);
     eprintln!(
-        "# memory: {} peers ({} backend), {} B/peer — ring {} B, index {} B \
+        "# memory: {} peers, {} B/peer — ring {} B, index {} B \
          (plain {} B, {:.2}x), built in {} ms",
         memory.peers,
-        memory.backend,
         memory.bytes_per_peer,
         memory.ring_bytes,
         memory.index_bytes,

@@ -149,8 +149,8 @@ fn main() -> ExitCode {
     // (bytes-per-peer to the byte); the build time is advisory.
     let memory = collect_memory(&world);
     eprintln!(
-        "# gate: memory {} B/peer over {} peers ({} backend, packed: {})",
-        memory.bytes_per_peer, memory.peers, memory.backend, memory.packed_postings
+        "# gate: memory {} B/peer over {} peers",
+        memory.bytes_per_peer, memory.peers
     );
     diffs.extend(compare_memory(&memory, &baseline));
     if diffs.is_empty() {

@@ -46,11 +46,8 @@ fn main() {
 
     let memory = memory_of(&sys, system_build_ms);
     eprintln!(
-        "# scale: {} peers ({} backend, packed: {}), {} B/peer — ring {} B, \
-         index {} B (plain {} B, {:.2}x)",
+        "# scale: {} peers, {} B/peer — ring {} B, index {} B (plain {} B, {:.2}x)",
         memory.peers,
-        memory.backend,
-        memory.packed_postings,
         memory.bytes_per_peer,
         memory.ring_bytes,
         memory.index_bytes,

@@ -21,7 +21,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use sprite_chord::{MsgKind, Phase, StorageBackend, TraceRecorder};
+use sprite_chord::{MsgKind, Phase, TraceRecorder};
 use sprite_core::{
     freshness_figure, loss_figure, FreshnessFigure, LossFigure, SpriteConfig, SpriteSystem, World,
 };
@@ -1025,10 +1025,6 @@ pub fn compare_freshness(current: &FreshnessFigure, baseline: &JsonValue) -> Vec
 pub struct Memory {
     /// Alive peers in the deployment's ring.
     pub peers: u64,
-    /// Node-state storage backend (`"arena"` or `"map"`).
-    pub backend: &'static str,
-    /// Whether posting lists are stored delta-gap compressed.
-    pub packed_postings: bool,
     /// Logical bytes of all Chord routing state (ids, successor lists,
     /// fingers, store index).
     pub ring_bytes: u64,
@@ -1059,11 +1055,6 @@ pub fn memory_of(sys: &SpriteSystem, build_ms: f64) -> Memory {
     let total_bytes = ring_bytes + index_bytes;
     Memory {
         peers,
-        backend: match sys.net().backend() {
-            StorageBackend::Map => "map",
-            StorageBackend::Arena => "arena",
-        },
-        packed_postings: sys.config().packed_postings,
         ring_bytes,
         index_bytes,
         plain_index_bytes,
@@ -1093,8 +1084,6 @@ pub fn memory_json(m: &Memory, indent: usize) -> String {
     let pad = "  ".repeat(indent + 1);
     let mut out = String::from("{\n");
     let _ = writeln!(out, "{pad}\"peers\": {},", m.peers);
-    let _ = writeln!(out, "{pad}\"backend\": \"{}\",", m.backend);
-    let _ = writeln!(out, "{pad}\"packed_postings\": {},", m.packed_postings);
     let _ = writeln!(out, "{pad}\"ring_bytes\": {},", m.ring_bytes);
     let _ = writeln!(out, "{pad}\"index_bytes\": {},", m.index_bytes);
     let _ = writeln!(out, "{pad}\"plain_index_bytes\": {},", m.plain_index_bytes);
@@ -1111,10 +1100,9 @@ pub fn memory_json(m: &Memory, indent: usize) -> String {
 }
 
 /// Diff a freshly accounted [`Memory`] against the committed baseline.
-/// Byte counts, the peer count, the backend, and the packing flag are
-/// exact ([`COUNT_TOLERANCE`] is zero); the compression ratio is within
-/// [`RATIO_TOLERANCE`]; `build_ms` is machine-dependent and advisory —
-/// never compared.
+/// Byte counts and the peer count are exact ([`COUNT_TOLERANCE`] is
+/// zero); the compression ratio is within [`RATIO_TOLERANCE`]; `build_ms`
+/// is machine-dependent and advisory — never compared.
 #[must_use]
 pub fn compare_memory(current: &Memory, baseline: &JsonValue) -> Vec<String> {
     let mut diffs = Vec::new();
@@ -1128,22 +1116,6 @@ pub fn compare_memory(current: &Memory, baseline: &JsonValue) -> Vec<String> {
     };
     let u = |key: &str| m.get(key).and_then(JsonValue::as_u64);
     diff_u64(&mut diffs, "memory.peers", u("peers"), current.peers);
-    match m.get("backend").and_then(JsonValue::as_str) {
-        None => diffs.push("memory.backend: missing from baseline".to_string()),
-        Some(b) if b != current.backend => diffs.push(format!(
-            "memory.backend: baseline {b}, current {}",
-            current.backend
-        )),
-        Some(_) => {}
-    }
-    match m.get("packed_postings").and_then(JsonValue::as_bool) {
-        None => diffs.push("memory.packed_postings: missing from baseline".to_string()),
-        Some(b) if b != current.packed_postings => diffs.push(format!(
-            "memory.packed_postings: baseline {b}, current {}",
-            current.packed_postings
-        )),
-        Some(_) => {}
-    }
     diff_u64(
         &mut diffs,
         "memory.ring_bytes",
@@ -1534,8 +1506,6 @@ mod tests {
         assert!(m.peers > 0 && m.ring_bytes > 0 && m.index_bytes > 0);
         assert_eq!(m.total_bytes, m.ring_bytes + m.index_bytes);
         assert_eq!(m.bytes_per_peer, m.total_bytes / m.peers);
-        assert_eq!(m.backend, "arena", "the scale-tier layout is the default");
-        assert!(m.packed_postings, "packing is the default");
         assert!(
             m.index_bytes < m.plain_index_bytes,
             "packed postings must undercut the plain layout: {} vs {}",

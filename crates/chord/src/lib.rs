@@ -29,7 +29,7 @@ pub mod node;
 pub mod ring;
 pub mod sim;
 pub mod stats;
-pub mod store;
+mod store;
 pub mod trace;
 
 pub use churn::{ChurnConfig, ChurnEngine, ChurnEvent, TickReport};
@@ -38,5 +38,4 @@ pub use node::NodeState;
 pub use ring::{ChordConfig, ChordError, ChordNet, Lookup, LookupLite, RouteMemo};
 pub use sim::{Delivery, LinkModel, NetworkModel, PerfectNetwork, SimConfig};
 pub use stats::{MsgKind, NetStats, MSG_KINDS};
-pub use store::StorageBackend;
 pub use trace::{Event, NullTrace, Phase, TraceRecorder, TraceSink, PHASES};

@@ -26,8 +26,6 @@ use crate::stats::{MsgKind, NetStats};
 use crate::store::NodeStore;
 use crate::trace::{self, Event, Phase, TraceSink};
 
-pub use crate::store::StorageBackend;
-
 /// Simulator configuration.
 #[derive(Clone, Debug)]
 pub struct ChordConfig {
@@ -36,10 +34,6 @@ pub struct ChordConfig {
     pub succ_list_len: usize,
     /// Safety bound on routing steps before a lookup aborts. Default 512.
     pub max_lookup_hops: u32,
-    /// Node-state storage layout (default the dense arena). Bit-exact
-    /// either way — the map backend exists so audits and tests can prove
-    /// that equivalence.
-    pub backend: StorageBackend,
 }
 
 impl Default for ChordConfig {
@@ -47,7 +41,6 @@ impl Default for ChordConfig {
         ChordConfig {
             succ_list_len: 8,
             max_lookup_hops: 512,
-            backend: StorageBackend::Arena,
         }
     }
 }
@@ -223,10 +216,9 @@ impl ChordNet {
     /// An empty network.
     #[must_use]
     pub fn new(cfg: ChordConfig) -> Self {
-        let nodes = NodeStore::new(cfg.backend);
         ChordNet {
             cfg,
-            nodes,
+            nodes: NodeStore::default(),
             sorted: BTreeSet::new(),
             stats: NetStats::new(),
             sim: SimConfig::default(),
@@ -334,12 +326,6 @@ impl ChordNet {
     #[must_use]
     pub fn node_ids(&self) -> Vec<RingId> {
         self.sorted.iter().map(|&v| RingId(v)).collect()
-    }
-
-    /// The active node-state storage backend.
-    #[must_use]
-    pub fn backend(&self) -> StorageBackend {
-        self.nodes.backend()
     }
 
     /// Deterministic logical bytes of all stored routing state (see
@@ -689,29 +675,6 @@ impl ChordNet {
             cur = next;
         }
         out
-    }
-
-    /// Mutating-caller convenience over [`Self::replicas_from_owner`]:
-    /// route `key` to its owner ([`Self::lookup_fast`] charging), then
-    /// extend along the successor chain to `n` replicas, charging the
-    /// network's own counters.
-    pub fn route_replicas(
-        &mut self,
-        from: RingId,
-        key: RingId,
-        n: usize,
-    ) -> Result<Vec<RingId>, ChordError> {
-        let lookup = self.lookup_fast(from, key)?;
-        let mut delta = NetStats::new();
-        let replicas = self.replicas_from_owner(lookup.owner, n, &mut delta);
-        self.stats.merge(&delta);
-        Ok(replicas)
-    }
-
-    /// Resolve the owner of `key` hashing a `term` string first — the
-    /// operation SPRITE performs for every query keyword and index publish.
-    pub fn lookup_term(&mut self, from: RingId, term: &str) -> Result<Lookup, ChordError> {
-        self.lookup(from, RingId::hash_term(term))
     }
 
     // ------------------------------------------------------------------
@@ -1142,9 +1105,14 @@ impl ChordNet {
                 self.sorted.len(),
                 "node map and sorted index out of sync"
             );
-            for (idv, node) in self.nodes.iter() {
+            for node in self.nodes.values() {
+                let idv = node.id().0;
                 debug_assert!(self.sorted.contains(&idv), "node {idv} missing from index");
-                debug_assert_eq!(node.id().0, idv, "node keyed under a foreign id");
+                debug_assert_eq!(
+                    self.nodes.get(idv).map(NodeState::id),
+                    Some(node.id()),
+                    "node {idv} is not addressable under its own id"
+                );
                 debug_assert!(
                     !node.successor_list().is_empty(),
                     "successor list of {idv} is empty"
@@ -1662,18 +1630,6 @@ mod tests {
     }
 
     #[test]
-    fn route_replicas_resolves_via_lookup() {
-        let mut net = ring_of(32);
-        net.reset_stats();
-        let from = net.node_ids()[0];
-        let key = RingId::hash_bytes(b"routed-end-to-end");
-        let replicas = net.route_replicas(from, key, 3).expect("converged ring");
-        assert_eq!(replicas, net.oracle_replicas(key, 3));
-        assert_eq!(net.stats().lookups(), 1, "owner resolution is a lookup");
-        assert_eq!(net.stats().count(MsgKind::Maintenance), 2);
-    }
-
-    #[test]
     fn dead_end_reports_failed_probe_count() {
         // A two-node ring where the survivor's every pointer is dead ends
         // immediately; the error must carry the probes burned.
@@ -1695,17 +1651,6 @@ mod tests {
         assert!(
             msg.contains("1 failed probe"),
             "display surfaces count: {msg}"
-        );
-    }
-
-    #[test]
-    fn term_lookup_places_by_md5() {
-        let mut net = ring_of(16);
-        let from = net.node_ids()[0];
-        let l = net.lookup_term(from, "retrieval").expect("lookup");
-        assert_eq!(
-            l.owner,
-            net.oracle_owner(RingId::hash_term("retrieval")).unwrap()
         );
     }
 }

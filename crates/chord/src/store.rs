@@ -1,56 +1,58 @@
-//! Node-state storage backends for [`crate::ring::ChordNet`].
+//! Node-state storage for [`crate::ring::ChordNet`].
 //!
-//! The simulator historically kept every peer's [`NodeState`] in a
-//! `HashMap<u128, NodeState>`. That is fine at 64 peers and ruinous at
-//! 100k+: each lookup hashes a 16-byte key into a sparsely-populated
-//! table, and the states themselves are scattered across the heap. The
-//! huge scale tier instead uses an **arena**: node states live in one
-//! dense `Vec`, and a compact `id → slot` index gives O(1) access while
-//! successor/finger chasing walks contiguous memory.
+//! Every peer's [`NodeState`] lives in one dense **arena**: states sit
+//! contiguously in a `Vec`, and a compact `id → slot` index gives O(1)
+//! access while successor/finger chasing walks contiguous memory — at
+//! 100k+ peers a per-node `HashMap<u128, NodeState>` scatters the states
+//! across the heap and hashes a 16-byte key into a sparse table on every
+//! hop.
 //!
-//! Both backends implement the same operations with the same observable
-//! behavior; the crate-private `NodeStore` dispatches between them. Nothing about
-//! iteration order is observable — the ring-order source of truth stays
-//! the sorted id set in `ChordNet` — so swapping backends is bit-exact
-//! (enforced by the `storage/packed` determinism stage and the
-//! dual-backend invariant tests in `sprite-audit`).
+//! Nothing about iteration order is observable — the ring-order source of
+//! truth stays the sorted id set in `ChordNet` — so the slot a node lands
+//! in never reaches a fingerprint.
 
 use std::collections::HashMap;
 
 use crate::node::NodeState;
 
-/// Which storage layout a [`crate::ring::ChordNet`] keeps its node states
-/// in. Observable behavior is identical; only memory layout differs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum StorageBackend {
-    /// One `HashMap` entry per node — the historical layout.
-    Map,
-    /// Dense arena slots plus an `id → slot` index — the scale-tier
-    /// layout (default).
-    #[default]
-    Arena,
-}
-
 /// Dense arena of node states: states live contiguously in `nodes`, and
 /// `index` maps a ring id to its slot. Removal is `swap_remove` plus one
-/// index fixup, so slots stay dense forever.
+/// index fixup, so slots stay dense forever. All accessors are O(1).
 #[derive(Clone, Debug, Default)]
-pub(crate) struct ArenaStore {
+pub(crate) struct NodeStore {
     index: HashMap<u128, u32>,
     nodes: Vec<NodeState>,
 }
 
-impl ArenaStore {
-    fn get(&self, id: u128) -> Option<&NodeState> {
+impl NodeStore {
+    pub(crate) fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
+    }
+
+    pub(crate) fn contains(&self, id: u128) -> bool {
+        self.index.contains_key(&id)
+    }
+
+    pub(crate) fn get(&self, id: u128) -> Option<&NodeState> {
         self.index.get(&id).map(|&slot| &self.nodes[slot as usize])
     }
 
-    fn get_mut(&mut self, id: u128) -> Option<&mut NodeState> {
+    pub(crate) fn get_mut(&mut self, id: u128) -> Option<&mut NodeState> {
         let slot = *self.index.get(&id)?;
         Some(&mut self.nodes[slot as usize])
     }
 
-    fn insert(&mut self, id: u128, node: NodeState) {
+    /// The state of an alive node; panics when `id` is dead (callers hold
+    /// ids they just verified alive).
+    pub(crate) fn alive(&self, id: u128) -> &NodeState {
+        self.get(id).expect("node is alive")
+    }
+
+    pub(crate) fn insert(&mut self, id: u128, node: NodeState) {
         match self.index.get(&id) {
             Some(&slot) => self.nodes[slot as usize] = node,
             None => {
@@ -64,7 +66,7 @@ impl ArenaStore {
         }
     }
 
-    fn remove(&mut self, id: u128) -> Option<NodeState> {
+    pub(crate) fn remove(&mut self, id: u128) -> Option<NodeState> {
         let slot = self.index.remove(&id)? as usize;
         let node = self.nodes.swap_remove(slot);
         if slot < self.nodes.len() {
@@ -73,127 +75,22 @@ impl ArenaStore {
         }
         Some(node)
     }
-}
 
-/// The storage behind a [`crate::ring::ChordNet`]: either the historical
-/// per-node map or the dense arena. All accessors are O(1) on both.
-#[derive(Clone, Debug)]
-pub(crate) enum NodeStore {
-    Map(HashMap<u128, NodeState>),
-    Arena(ArenaStore),
-}
-
-impl NodeStore {
-    pub(crate) fn new(backend: StorageBackend) -> Self {
-        match backend {
-            StorageBackend::Map => NodeStore::Map(HashMap::new()),
-            StorageBackend::Arena => NodeStore::Arena(ArenaStore::default()),
-        }
-    }
-
-    pub(crate) fn backend(&self) -> StorageBackend {
-        match self {
-            NodeStore::Map(_) => StorageBackend::Map,
-            NodeStore::Arena(_) => StorageBackend::Arena,
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            NodeStore::Map(m) => m.len(),
-            NodeStore::Arena(a) => a.nodes.len(),
-        }
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    pub(crate) fn contains(&self, id: u128) -> bool {
-        match self {
-            NodeStore::Map(m) => m.contains_key(&id),
-            NodeStore::Arena(a) => a.index.contains_key(&id),
-        }
-    }
-
-    pub(crate) fn get(&self, id: u128) -> Option<&NodeState> {
-        match self {
-            NodeStore::Map(m) => m.get(&id),
-            NodeStore::Arena(a) => a.get(id),
-        }
-    }
-
-    pub(crate) fn get_mut(&mut self, id: u128) -> Option<&mut NodeState> {
-        match self {
-            NodeStore::Map(m) => m.get_mut(&id),
-            NodeStore::Arena(a) => a.get_mut(id),
-        }
-    }
-
-    /// The state of an alive node; panics when `id` is dead (callers hold
-    /// ids they just verified alive — the map backend's `&map[&id]`).
-    pub(crate) fn alive(&self, id: u128) -> &NodeState {
-        self.get(id).expect("node is alive")
-    }
-
-    pub(crate) fn insert(&mut self, id: u128, node: NodeState) {
-        match self {
-            NodeStore::Map(m) => {
-                m.insert(id, node);
-            }
-            NodeStore::Arena(a) => a.insert(id, node),
-        }
-    }
-
-    pub(crate) fn remove(&mut self, id: u128) -> Option<NodeState> {
-        match self {
-            NodeStore::Map(m) => m.remove(&id),
-            NodeStore::Arena(a) => a.remove(id),
-        }
-    }
-
-    /// Iterate `(id, state)` pairs in **unspecified order** — only for
-    /// order-free consumers (convergence `all()`, structural validation,
-    /// memory accounting). Ring-ordered walks go through the sorted id
-    /// set, never this.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (u128, &NodeState)> {
-        let map_iter;
-        let arena_iter;
-        match self {
-            NodeStore::Map(m) => {
-                map_iter = Some(m.iter().map(|(&id, n)| (id, n)));
-                arena_iter = None;
-            }
-            NodeStore::Arena(a) => {
-                map_iter = None;
-                arena_iter = Some(a.nodes.iter().map(|n| (n.id().0, n)));
-            }
-        }
-        map_iter
-            .into_iter()
-            .flatten()
-            .chain(arena_iter.into_iter().flatten())
-    }
-
-    /// Node states in unspecified order (see [`Self::iter`]).
+    /// Node states in **unspecified order** — only for order-free
+    /// consumers (convergence `all()`, structural validation, memory
+    /// accounting). Ring-ordered walks go through the sorted id set,
+    /// never this.
     pub(crate) fn values(&self) -> impl Iterator<Item = &NodeState> {
-        self.iter().map(|(_, n)| n)
+        self.nodes.iter()
     }
 
     /// Deterministic *logical* bytes of all stored routing state: the sum
     /// of each node's [`NodeState::logical_bytes`] plus the per-slot index
-    /// cost (16-byte id key + 4-byte slot for the arena; 16-byte key for
-    /// the map, whose value is stored inline). Length-based — never
-    /// capacity, never allocator overhead — so the number is a pure
-    /// function of the ring's contents and safe to gate exactly.
+    /// cost (16-byte id key + 4-byte slot). Length-based — never capacity,
+    /// never allocator overhead — so the number is a pure function of the
+    /// ring's contents and safe to gate exactly.
     pub(crate) fn logical_bytes(&self) -> u64 {
-        let per_slot: u64 = match self {
-            NodeStore::Map(_) => 16,
-            NodeStore::Arena(_) => 16 + 4,
-        };
-        self.values()
-            .map(|n| n.logical_bytes() + per_slot)
-            .sum::<u64>()
+        self.values().map(|n| n.logical_bytes() + 16 + 4).sum()
     }
 }
 
@@ -208,7 +105,7 @@ mod tests {
 
     #[test]
     fn arena_insert_get_remove_with_swap_fixup() {
-        let mut store = NodeStore::new(StorageBackend::Arena);
+        let mut store = NodeStore::default();
         for id in [10u128, 20, 30, 40] {
             store.insert(id, solitary(id));
         }
@@ -230,32 +127,8 @@ mod tests {
     }
 
     #[test]
-    fn backends_agree_on_contents() {
-        let mut map = NodeStore::new(StorageBackend::Map);
-        let mut arena = NodeStore::new(StorageBackend::Arena);
-        for id in 0..50u128 {
-            map.insert(id, solitary(id));
-            arena.insert(id, solitary(id));
-        }
-        for id in (0..50u128).step_by(7) {
-            map.remove(id);
-            arena.remove(id);
-        }
-        assert_eq!(map.len(), arena.len());
-        let mut a: Vec<u128> = map.iter().map(|(id, _)| id).collect();
-        let mut b: Vec<u128> = arena.iter().map(|(id, _)| id).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-        for id in 0..50u128 {
-            assert_eq!(map.contains(id), arena.contains(id));
-            assert_eq!(map.get(id).is_some(), arena.get(id).is_some());
-        }
-    }
-
-    #[test]
     fn logical_bytes_count_state_not_capacity() {
-        let mut store = NodeStore::new(StorageBackend::Arena);
+        let mut store = NodeStore::default();
         assert_eq!(store.logical_bytes(), 0);
         store.insert(1, solitary(1));
         let one = store.logical_bytes();

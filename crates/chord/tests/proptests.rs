@@ -3,7 +3,7 @@
 //! Formerly `proptest` suites; now deterministic seeded loops over
 //! `DetRng`-generated rings so the workspace builds with an empty registry.
 
-use sprite_chord::{ChordConfig, ChordNet};
+use sprite_chord::{ChordConfig, ChordNet, ChurnConfig, ChurnEngine};
 use sprite_util::{derive_rng, DetRng, RingId};
 
 /// Build a ring from arbitrary raw ids (deduplicated inside `with_nodes`).
@@ -132,4 +132,62 @@ fn failures_then_converge() {
         net.converge(80);
         assert!(net.is_converged());
     }
+}
+
+/// The converged-ring invariants, read through the public accessors: every
+/// listed id resolves to its own state (slots move on removal — the id
+/// index must follow), predecessor and successor list are ring-order
+/// neighbours, successor and fingers match the oracle.
+fn assert_ring_invariants(net: &ChordNet, when: &str) {
+    let ids = net.node_ids();
+    let n = ids.len();
+    assert_eq!(net.len(), n, "{when}: store and ring order disagree");
+    assert!(net.is_converged(), "{when}: not converged");
+    for (i, &id) in ids.iter().enumerate() {
+        let node = net.node(id).expect("listed node is alive");
+        assert_eq!(node.id(), id, "{when}: {id:?} resolves to a foreign state");
+        assert_eq!(node.predecessor(), Some(ids[(i + n - 1) % n]), "{when}");
+        for (j, &s) in node.successor_list().iter().enumerate() {
+            assert_eq!(s, ids[(i + 1 + j) % n], "{when}: successor list of {id:?}");
+        }
+    }
+}
+
+/// Scheduled failures, joins and a leave, then engine-driven churn under
+/// bounded maintenance: every repair ends in a well-formed ring whose
+/// removed members are gone and whose survivors kept their own state.
+#[test]
+fn ring_invariants_survive_scheduled_and_engine_churn() {
+    for n in [1usize, 2, 8, 64] {
+        let net = ChordNet::with_random_nodes(ChordConfig::default(), n, 9);
+        assert_ring_invariants(&net, "freshly built");
+    }
+    let mut net = ChordNet::with_random_nodes(ChordConfig::default(), 48, 17);
+    let failed: Vec<RingId> = net.node_ids().into_iter().step_by(7).collect();
+    for &id in &failed {
+        net.fail(id).expect("listed node is alive");
+    }
+    net.converge(64);
+    assert_ring_invariants(&net, "after failures");
+    assert!(failed.iter().all(|&id| !net.contains(id)));
+    for i in 0..6u64 {
+        let id = RingId::hash_bytes(format!("arena-join-{i}").as_bytes());
+        let bootstrap = net.node_ids()[0];
+        net.join(id, bootstrap).expect("bootstrap is alive");
+    }
+    net.converge(64);
+    assert_ring_invariants(&net, "after joins");
+    let victim = net.node_ids()[3];
+    net.leave(victim).expect("listed node is alive");
+    net.converge(64);
+    assert_ring_invariants(&net, "after a leave");
+
+    let mut engine = ChurnEngine::new(ChurnConfig::default(), 24);
+    for _ in 0..4 {
+        engine.tick(&mut net);
+        net.stabilize_round();
+        net.fix_fingers_round();
+    }
+    net.converge(64);
+    assert_ring_invariants(&net, "after engine churn stops");
 }

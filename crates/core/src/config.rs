@@ -1,4 +1,10 @@
 //! SPRITE system configuration.
+//!
+//! Every field is a parameter of the paper's system (budgets, cache size,
+//! replication degree) or an ablation axis of its evaluation. There are
+//! no representation or protocol switches: bulk publication always
+//! batches, inverted lists are always stored packed, and document
+//! deletion always tombstones (DESIGN.md §10, §14, §15).
 
 use sprite_ir::Similarity;
 
@@ -34,28 +40,6 @@ pub struct SpriteConfig {
     /// IDF source for distributed ranking (ablation; default the paper's
     /// indexed document frequency).
     pub idf_mode: IdfMode,
-    /// Coalesce bulk publication and replication transfers bound for the
-    /// same indexing peer into one batched message each (default on).
-    /// Batching is pure message-count savings: routing lookups, index
-    /// contents, retrieval results, and total payload bytes are
-    /// bit-identical to the unbatched path (records are encoded
-    /// independently, so a batch's payload is exactly the sum of its
-    /// records' wire sizes).
-    pub batched_publish: bool,
-    /// Store inverted lists as delta-gap-compressed blocks (default on).
-    /// Purely an in-memory representation change: readers decode on the
-    /// fly, so ranking, replication, and hand-over are bit-identical to
-    /// plain storage (enforced by the `storage/packed` determinism stage
-    /// in `sprite-audit`). Required headroom for the huge scale tier.
-    pub packed_postings: bool,
-    /// Defer document deletion at indexing peers (default on): removal
-    /// records mark entries dead instead of rewriting the stored list,
-    /// and the next `maintenance_round` reclaims them lazily. Off, the
-    /// delete path rewrites lists eagerly — same removal messages
-    /// billed at delete time, no cleanup work later. Either way a
-    /// deleted document is invisible to queries the moment the removal
-    /// record lands.
-    pub lazy_tombstones: bool,
 }
 
 /// Which document frequency feeds the IDF during distributed ranking.
@@ -82,9 +66,6 @@ impl Default for SpriteConfig {
             similarity: Similarity::LeeSecond,
             score_mode: crate::learn::ScoreMode::Full,
             idf_mode: IdfMode::Indexed,
-            batched_publish: true,
-            packed_postings: true,
-            lazy_tombstones: true,
         }
     }
 }
@@ -123,9 +104,6 @@ mod tests {
         assert_eq!(c.replication, 1);
         assert!(!c.is_static());
         assert_eq!(c.similarity, Similarity::LeeSecond);
-        assert!(c.batched_publish, "batched publication is the default");
-        assert!(c.packed_postings, "compressed postings are the default");
-        assert!(c.lazy_tombstones, "lazy deletion is the default");
     }
 
     #[test]

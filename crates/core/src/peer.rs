@@ -105,36 +105,17 @@ pub struct IndexingState {
     /// Recent-query history, oldest first, bounded.
     cache: VecDeque<CachedQuery>,
     capacity: usize,
-    /// Representation for freshly created lists (see
-    /// [`crate::config::SpriteConfig::packed_postings`]).
-    packed: bool,
 }
 
 impl IndexingState {
-    /// Fresh state with the given query-history capacity, storing plain
-    /// (uncompressed) posting lists.
+    /// Fresh state with the given query-history capacity.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        Self::with_packing(capacity, false)
-    }
-
-    /// Fresh state with the given query-history capacity; `packed`
-    /// selects the posting-list representation (plain vectors or
-    /// delta-gap-compressed blocks — behaviorally identical).
-    #[must_use]
-    pub fn with_packing(capacity: usize, packed: bool) -> Self {
         IndexingState {
             inverted: HashMap::new(),
             cache: VecDeque::new(),
             capacity,
-            packed,
         }
-    }
-
-    /// True when fresh lists use the compressed representation.
-    #[must_use]
-    pub fn packed(&self) -> bool {
-        self.packed
     }
 
     /// Insert or update the entry for `(term, doc)`.
@@ -143,10 +124,9 @@ impl IndexingState {
     /// the structural invariant `sprite-audit`'s `check_index` verifies —
     /// so scans and merges are deterministic regardless of publish order.
     pub fn publish(&mut self, term: TermId, entry: IndexEntry) {
-        let packed = self.packed;
         self.inverted
             .entry(term)
-            .or_insert_with(|| PostingList::new(packed))
+            .or_insert_with(|| PostingList::new(true))
             .publish(entry);
     }
 
@@ -252,14 +232,14 @@ impl IndexingState {
 
     /// Replace the inverted list of `term` verbatim, skipping the
     /// sorted-insert of [`Self::publish`] — **corruption injection** for
-    /// `sprite-audit` tests only. Injected lists are always stored plain:
-    /// the packed encoder requires the very invariants these tests break.
+    /// `sprite-audit` tests only. Injected lists are the one place a plain
+    /// (unpacked) [`PostingList`] is still built: the packed encoder
+    /// requires the very invariants these tests break (sorted, one entry
+    /// per document), so it cannot represent them.
     pub fn inject_raw(&mut self, term: TermId, entries: Vec<IndexEntry>) {
         if entries.is_empty() {
             self.inverted.remove(&term);
         } else {
-            // Stored unpacked via the codec module's constructor: the
-            // packed encoder requires the invariants these tests break.
             self.inverted
                 .insert(term, PostingList::from_entries(entries, false));
         }

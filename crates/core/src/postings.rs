@@ -1,18 +1,22 @@
-//! Posting-list storage: plain entry vectors or delta-gap-compressed
-//! blocks, behind one [`PostingList`] type.
+//! Posting-list storage: delta-gap-compressed blocks behind one
+//! [`PostingList`] type.
 //!
 //! The huge scale tier (`SPRITE_SCALE=huge`, 100k+ peers) cannot afford
 //! `Vec<IndexEntry>` per term: each entry burns 32 logical bytes where
 //! the canonical wire encoding of §5.1 needs ~20 — and far less once
-//! document ids are delta-encoded. The packed representation therefore
+//! document ids are delta-encoded. Every list in service therefore
 //! stores exactly the per-entry wire encoding of
 //! [`crate::peer::posting_list_wire_size`] (gap-varint doc id, raw
 //! 16-byte owner address, varint tf / doc-length / distinct-count),
 //! reusing the canonical LEB128 codec from `sprite-util`. Readers
-//! decode on the fly through [`PostingIter`]; nothing downstream —
-//! ranking, replication, hand-over — can tell the representations
-//! apart, and the `storage/packed` determinism stage in `sprite-audit`
-//! holds both to bit-identical fingerprints.
+//! decode on the fly through [`PostingIter`].
+//!
+//! The [`PostingList::Plain`] variant is a **test vehicle**, never
+//! created by a deployment: corruption injection
+//! ([`crate::peer::IndexingState::inject_raw`]) needs a list the encoder
+//! cannot represent (unsorted, duplicate documents), and the tombstone
+//! property tests use the plain vector as the model the packed block is
+//! checked against.
 //!
 //! **Tombstones.** Document deletion marks entries dead instead of
 //! re-encoding the list on the spot: each list carries a sorted side
@@ -21,11 +25,8 @@
 //! `wire_size`) sees only live entries. The physical reclaim happens in
 //! [`PostingList::cleanup`], called by the lazy pass in
 //! `maintenance_round`, which returns the reclaimed entries so the
-//! caller can bill each one. The side-vector design is deliberately
-//! identical across representations so message accounting is
-//! bit-identical between plain and packed storage; for packed blocks it
-//! additionally guarantees that a tombstone never rewrites encoded
-//! bytes before the next cleanup watermark.
+//! caller can bill each one. A tombstone never rewrites encoded bytes
+//! before the next cleanup watermark.
 //!
 //! **This module is the only place posting lists may be built.** A
 //! `sprite-lint` rule bans `Vec<IndexEntry>` construction elsewhere so
@@ -44,14 +45,14 @@ use crate::peer::IndexEntry;
 pub const PLAIN_ENTRY_BYTES: u64 = 4 + 16 + 4 + 4 + 4;
 
 /// One inverted list, sorted by document id with one entry per document,
-/// stored either as plain entries or as a delta-gap-compressed block.
-/// Either way a sorted tombstone vector marks dead documents awaiting
-/// the lazy cleanup pass.
+/// stored as a delta-gap-compressed block (plain entries in tests only,
+/// see the module docs). Either way a sorted tombstone vector marks dead
+/// documents awaiting the lazy cleanup pass.
 #[derive(Clone, Debug)]
 pub enum PostingList {
-    /// Plain decoded entries — the historical layout, and the layout of
-    /// corruption-injected lists (which may violate the encoder's
-    /// strictly-ascending precondition on purpose).
+    /// Plain decoded entries — the layout of corruption-injected lists
+    /// (which may violate the encoder's strictly-ascending precondition
+    /// on purpose) and the reference model of the tombstone proptests.
     Plain {
         /// Doc-sorted entries, live and tombstoned alike.
         entries: Vec<IndexEntry>,

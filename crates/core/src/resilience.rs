@@ -13,7 +13,7 @@ use sprite_chord::{sim, ChurnEngine, ChurnEvent, MsgKind, NetStats, Phase, TickR
 use sprite_ir::{DocId, TermId};
 use sprite_util::{derive_rng, EventQueue, RingId};
 
-use crate::peer::{term_record_wire_size, IndexEntry, IndexingState};
+use crate::peer::{term_record_wire_size, IndexEntry};
 use crate::system::SpriteSystem;
 
 /// Destination-batched maintenance transfers awaiting a flush: per
@@ -156,13 +156,7 @@ impl SpriteSystem {
                     .sum::<u64>()
             })
             .sum();
-        let cap = self.config().query_cache_capacity;
-        let packed = self.config().packed_postings;
-        let copied = self
-            .indexing_mut()
-            .entry(heir.0)
-            .or_insert_with(|| IndexingState::with_packing(cap, packed))
-            .absorb_replica(&state);
+        let copied = self.indexing_entry(heir).absorb_replica(&state);
         self.net_mut().charge_n(MsgKind::Replication, copied as u64);
         self.net_mut()
             .charge_bytes(MsgKind::Replication, shipped_bytes);
@@ -186,8 +180,8 @@ impl SpriteSystem {
 
     /// Lazy tombstone reclamation: every indexing peer compacts its
     /// inverted lists, physically dropping entries that earlier removal
-    /// records marked dead (see `lazy_tombstones` in
-    /// [`crate::SpriteConfig`]). The per-entry wire accounting — one
+    /// records marked dead (document delete, update and republish always
+    /// tombstone). The per-entry wire accounting — one
     /// [`MsgKind::IndexRemove`] plus the removal record's exact bytes at
     /// the owner and every replica — happened when the record landed;
     /// reclamation itself is local compaction and charges nothing. The
@@ -225,12 +219,10 @@ impl SpriteSystem {
     /// are shipped over (the old holder keeps its copy, which now acts as
     /// a replica). Returns entries newly added at their proper owners.
     fn republish_orphans(&mut self) -> usize {
-        let batched = self.config().batched_publish;
         // dest peer → (summed payload bytes, records), flushed as one
         // transfer message per destination (BTreeMap: deterministic order).
         let mut batch: TransferBatch = BTreeMap::new();
         let holders = self.holder_snapshot();
-        let mut moved = 0;
         for (holder, terms) in holders {
             if !self.net().contains(RingId(holder)) {
                 continue;
@@ -255,48 +247,16 @@ impl SpriteSystem {
                     .iter()
                     .map(|e| term_record_wire_size(term, e) as u64)
                     .sum();
-                if batched {
-                    let slot = batch
-                        .entry(lookup.owner.0)
-                        .or_insert_with(|| (0, Vec::new()));
-                    slot.0 += bytes;
-                    slot.1.push((term, entries));
-                    continue; // installed (or lost) at flush time
-                }
-                // Unbatched: one delivery-gated transfer per (holder, term).
-                let salt =
-                    sim::message_salt(holder as u64, lookup.owner.0 as u64, term.index() as u64);
-                match self.net().plan_delivery(RingId(holder), lookup.owner, salt) {
-                    Ok((_arrival, drops)) => {
-                        if drops > 0 {
-                            self.net_mut().charge_n(MsgKind::Timeout, drops);
-                        }
-                        self.net_mut()
-                            .charge_n(MsgKind::Replication, entries.len() as u64);
-                        self.net_mut().charge_bytes(MsgKind::Replication, bytes);
-                    }
-                    Err(drops) => {
-                        self.net_mut().charge_n(MsgKind::Timeout, drops);
-                        continue; // transfer lost; the holder keeps its copy
-                    }
-                }
-                let cap = self.config().query_cache_capacity;
-                let packed = self.config().packed_postings;
-                let st = self
-                    .indexing_mut()
+                let slot = batch
                     .entry(lookup.owner.0)
-                    .or_insert_with(|| IndexingState::with_packing(cap, packed));
-                let before = st.indexed_df(term);
-                for &e in &entries {
-                    st.publish(term, e);
-                }
-                moved += st.indexed_df(term) - before;
+                    .or_insert_with(|| (0, Vec::new()));
+                slot.0 += bytes;
+                slot.1.push((term, entries)); // installed (or lost) at flush time
             }
         }
-        // Batched: all of one destination's re-homed records travel as a
-        // single in-flight transfer through the event scheduler.
-        moved += self.flush_transfer_batch(batch, true);
-        moved
+        // All of one destination's re-homed records travel as a single
+        // in-flight transfer through the event scheduler.
+        self.flush_transfer_batch(batch, true)
     }
 
     /// Flush dest-batched maintenance transfers through the event
@@ -308,8 +268,6 @@ impl SpriteSystem {
     /// newly-added ones when `count_new` (the orphan pass), else every
     /// delivered record (the replication pass bills data moved).
     fn flush_transfer_batch(&mut self, batch: TransferBatch, count_new: bool) -> usize {
-        let cap = self.config().query_cache_capacity;
-        let packed = self.config().packed_postings;
         let mut queue = EventQueue::new();
         for (dest, (bytes, records)) in batch {
             // A dest-batched transfer merges many holders into one message,
@@ -333,10 +291,7 @@ impl SpriteSystem {
             }
             self.net_mut().charge(MsgKind::Replication);
             self.net_mut().charge_bytes(MsgKind::Replication, bytes);
-            let st = self
-                .indexing_mut()
-                .entry(dest)
-                .or_insert_with(|| IndexingState::with_packing(cap, packed));
+            let st = self.indexing_entry(RingId(dest));
             for (term, entries) in records {
                 let before = st.indexed_df(term);
                 for &e in &entries {
@@ -383,13 +338,11 @@ impl SpriteSystem {
         if degree <= 1 {
             return 0;
         }
-        let batched = self.config().batched_publish;
         // dest replica → (summed payload bytes, records), flushed as one
         // message per destination after the walk (BTreeMap: deterministic
         // flush order).
         let mut batch: TransferBatch = BTreeMap::new();
         let holders = self.holder_snapshot();
-        let mut copied = 0;
         for (holder, terms) in holders {
             if !self.net().contains(RingId(holder)) {
                 continue;
@@ -416,8 +369,6 @@ impl SpriteSystem {
                     .iter()
                     .map(|e| term_record_wire_size(term, e) as u64)
                     .sum();
-                let cap = self.config().query_cache_capacity;
-                let packed = self.config().packed_postings;
                 let mut delta = NetStats::new();
                 let replicas: Vec<RingId> = self
                     .net()
@@ -427,42 +378,13 @@ impl SpriteSystem {
                     .collect();
                 self.net_mut().absorb_stats(&delta);
                 for replica in replicas {
-                    if batched {
-                        let slot = batch.entry(replica.0).or_insert_with(|| (0, Vec::new()));
-                        slot.0 += bytes;
-                        slot.1.push((term, entries.clone()));
-                        continue; // installed (or lost) at flush time
-                    }
-                    // Unbatched: one delivery-gated copy per replica.
-                    let salt =
-                        sim::message_salt(holder as u64, replica.0 as u64, term.index() as u64);
-                    match self.net().plan_delivery(lookup.owner, replica, salt) {
-                        Ok((_arrival, drops)) => {
-                            if drops > 0 {
-                                self.net_mut().charge_n(MsgKind::Timeout, drops);
-                            }
-                            self.net_mut()
-                                .charge_n(MsgKind::Replication, entries.len() as u64);
-                            self.net_mut().charge_bytes(MsgKind::Replication, bytes);
-                        }
-                        Err(drops) => {
-                            self.net_mut().charge_n(MsgKind::Timeout, drops);
-                            continue; // copy lost; this replica stays stale
-                        }
-                    }
-                    let st = self
-                        .indexing_mut()
-                        .entry(replica.0)
-                        .or_insert_with(|| IndexingState::with_packing(cap, packed));
-                    for &e in &entries {
-                        st.publish(term, e);
-                        copied += 1;
-                    }
+                    let slot = batch.entry(replica.0).or_insert_with(|| (0, Vec::new()));
+                    slot.0 += bytes;
+                    slot.1.push((term, entries.clone())); // installed (or lost) at flush time
                 }
             }
         }
-        copied += self.flush_transfer_batch(batch, false);
-        copied
+        self.flush_transfer_batch(batch, false)
     }
 
     /// §7 load balancing: indexing peers report terms whose indexed

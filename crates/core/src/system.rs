@@ -22,8 +22,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use sprite_chord::{
-    sim, ChordConfig, ChordNet, MsgKind, NetStats, NullTrace, Phase, StorageBackend, TraceRecorder,
-    TraceSink,
+    sim, ChordConfig, ChordNet, MsgKind, NetStats, NullTrace, Phase, TraceRecorder, TraceSink,
 };
 use sprite_corpus::DocEvent;
 use sprite_ir::{Corpus, DocId, Hit, Query, TermId};
@@ -194,31 +193,11 @@ macro_rules! traced {
 impl SpriteSystem {
     /// Build a deployment: `n_peers` peers in a converged Chord ring, the
     /// corpus's documents distributed over them as owners. Nothing is
-    /// published yet — call [`Self::publish_all`]. Uses the default
-    /// node-state storage backend (the arena).
+    /// published yet — call [`Self::publish_all`].
     #[must_use]
     pub fn build(corpus: Corpus, n_peers: usize, cfg: SpriteConfig, seed: u64) -> Self {
-        Self::build_with_backend(corpus, n_peers, cfg, seed, StorageBackend::default())
-    }
-
-    /// [`Self::build`] with an explicit node-state storage backend. The
-    /// backend is invisible to everything above the ring — the dual-backend
-    /// tests in `sprite-audit` hold both deployments to bit-identical
-    /// fingerprints — so this exists for those tests, not for tuning.
-    #[must_use]
-    pub fn build_with_backend(
-        corpus: Corpus,
-        n_peers: usize,
-        cfg: SpriteConfig,
-        seed: u64,
-        backend: StorageBackend,
-    ) -> Self {
         assert!(n_peers > 0, "need at least one peer");
-        let chord_cfg = ChordConfig {
-            backend,
-            ..ChordConfig::default()
-        };
-        let net = ChordNet::with_random_nodes(chord_cfg, n_peers, seed);
+        let net = ChordNet::with_random_nodes(ChordConfig::default(), n_peers, seed);
         let peers = net.node_ids();
         let mut rng = derive_rng(seed, "doc-owners");
         let doc_owner: Vec<RingId> = (0..corpus.len())
@@ -543,7 +522,6 @@ impl SpriteSystem {
     /// are skipped.
     pub fn publish_all(&mut self) {
         let tick = self.next_tick();
-        let batched = self.cfg.batched_publish;
         traced!(self, sink, {
             let mut batch = PublishBatch::default();
             for i in 0..self.corpus.len() {
@@ -556,18 +534,7 @@ impl SpriteSystem {
                     .doc(doc)
                     .top_frequent_terms(self.cfg.initial_terms);
                 for &t in &initial {
-                    if batched {
-                        self.publish_term_impl(
-                            doc,
-                            t,
-                            Phase::Publish,
-                            tick,
-                            sink,
-                            Some(&mut batch),
-                        );
-                    } else {
-                        self.publish_term_with(doc, t, Phase::Publish, tick, sink);
-                    }
+                    self.publish_term_impl(doc, t, Phase::Publish, tick, sink, Some(&mut batch));
                 }
                 self.owners[i].published = initial;
                 self.debug_validate_owner(doc);
@@ -682,12 +649,11 @@ impl SpriteSystem {
     }
 
     /// The indexing-role state of `peer`, created empty on first contact.
-    fn indexing_entry(&mut self, peer: RingId) -> &mut IndexingState {
+    pub(crate) fn indexing_entry(&mut self, peer: RingId) -> &mut IndexingState {
         let cap = self.cfg.query_cache_capacity;
-        let packed = self.cfg.packed_postings;
         self.indexing
             .entry(peer.0)
-            .or_insert_with(|| IndexingState::with_packing(cap, packed))
+            .or_insert_with(|| IndexingState::new(cap))
     }
 
     /// Store one index record at `peer` (order-independent sorted insert).
@@ -876,7 +842,6 @@ impl SpriteSystem {
             owner.stats.retain(|t, _| d.contains(*t));
         }
         let new_terms = self.reselect_terms(doc, old.len());
-        let lazy = self.cfg.lazy_tombstones;
         let tick = self.next_tick();
         let mut report = UpdateReport::default();
         traced!(self, sink, {
@@ -888,7 +853,7 @@ impl SpriteSystem {
             }
             for &t in &old {
                 if !new_terms.contains(&t) {
-                    self.retract_term_with(doc, t, lazy, Phase::Publish, tick, sink);
+                    self.retract_term_with(doc, t, true, Phase::Publish, tick, sink);
                     report.terms_removed += 1;
                 }
             }
@@ -912,11 +877,10 @@ impl SpriteSystem {
             "cannot republish deleted {doc:?}"
         );
         let old = self.owners[doc.index()].published.clone();
-        let lazy = self.cfg.lazy_tombstones;
         let tick = self.next_tick();
         traced!(self, sink, {
             for &t in &old {
-                self.retract_term_with(doc, t, lazy, Phase::Publish, tick, sink);
+                self.retract_term_with(doc, t, true, Phase::Publish, tick, sink);
             }
         });
         self.corpus.replace_document(doc, terms);
@@ -942,22 +906,20 @@ impl SpriteSystem {
         report
     }
 
-    /// Retire `doc` permanently: retract every published term —
-    /// tombstoning the index entries when
-    /// [`crate::SpriteConfig::lazy_tombstones`] is on, rewriting the
-    /// lists eagerly otherwise — clear the owner state, and mark the id
-    /// dead so no later pass (publish, learning, orphan repair) can
-    /// resurrect it. Returns the number of terms retracted.
+    /// Retire `doc` permanently: retract every published term
+    /// (tombstoning the index entries; the next `maintenance_round`
+    /// reclaims them), clear the owner state, and mark the id dead so no
+    /// later pass (publish, learning, orphan repair) can resurrect it.
+    /// Returns the number of terms retracted.
     pub fn delete_document(&mut self, doc: DocId) -> usize {
         if self.deleted[doc.index()] {
             return 0;
         }
         let terms = self.owners[doc.index()].published.clone();
-        let lazy = self.cfg.lazy_tombstones;
         let tick = self.next_tick();
         traced!(self, sink, {
             for &t in &terms {
-                self.retract_term_with(doc, t, lazy, Phase::Publish, tick, sink);
+                self.retract_term_with(doc, t, true, Phase::Publish, tick, sink);
             }
         });
         let owner = &mut self.owners[doc.index()];
@@ -1051,11 +1013,12 @@ impl SpriteSystem {
     /// The retraction core: route to the responsible peer, bill one
     /// [`MsgKind::IndexRemove`] plus the record's exact wire bytes there
     /// and at every replica, and take the entry out of each index —
-    /// eagerly (`lazy = false`: the stored list is rewritten on the
-    /// spot) or lazily (`lazy = true`: the entry is tombstoned and the
-    /// next `maintenance_round` reclaims it). The removal record on the
-    /// wire is identical either way; only the indexing peer's local
-    /// write strategy differs.
+    /// eagerly (`lazy = false`, learning's term replacement: the stored
+    /// list is rewritten on the spot) or lazily (`lazy = true`, document
+    /// delete/update/republish: the entry is tombstoned and the next
+    /// `maintenance_round` reclaims it and reports it as reclaimed).
+    /// The removal record on the wire is identical either way; only the
+    /// indexing peer's local write strategy differs.
     fn retract_term_with<T: TraceSink>(
         &mut self,
         doc: DocId,
@@ -1874,11 +1837,13 @@ mod tests {
         sys.publish_all();
         let doc = DocId(0);
         let term = sys.published_terms(doc)[0];
+        sys.net_mut().reset_stats();
         let retracted = sys.delete_document(doc);
         assert_eq!(retracted, 5);
+        assert_eq!(sys.net().stats().count(MsgKind::IndexRemove), 5);
         assert!(sys.is_deleted(doc));
         assert!(!sys.live_docs().contains(&doc));
-        // Lazy mode: the entries are tombstoned, not yet rewritten …
+        // The entries are tombstoned, not yet rewritten …
         assert_eq!(sys.pending_tombstones(), 5);
         // … but the document is invisible to queries right now.
         let hits = sys.issue_query(&Query::new(vec![term]), sys.corpus().len());
@@ -1898,44 +1863,5 @@ mod tests {
         assert!(sys.published_terms(doc).is_empty());
         let hits = sys.issue_query(&Query::new(vec![term]), sys.corpus().len());
         assert!(hits.iter().all(|h| h.doc != doc));
-    }
-
-    #[test]
-    fn eager_deletion_rewrites_lists_on_the_spot() {
-        let cfg = SpriteConfig {
-            lazy_tombstones: false,
-            ..SpriteConfig::default()
-        };
-        let (_sc, mut sys) = tiny_system(cfg);
-        sys.publish_all();
-        let entries = sys.total_index_entries();
-        sys.net_mut().reset_stats();
-        let retracted = sys.delete_document(DocId(0));
-        assert_eq!(retracted, 5);
-        assert_eq!(sys.pending_tombstones(), 0, "eager mode leaves no debt");
-        assert_eq!(sys.total_index_entries(), entries - 5);
-        // The wire bill is identical to the lazy path: same removal
-        // records, different local write strategy.
-        assert_eq!(sys.net().stats().count(MsgKind::IndexRemove), 5);
-    }
-
-    #[test]
-    fn lazy_and_eager_deletion_bill_identical_wire_traffic() {
-        let run = |lazy: bool| {
-            let cfg = SpriteConfig {
-                lazy_tombstones: lazy,
-                ..SpriteConfig::default()
-            };
-            let (_sc, mut sys) = tiny_system(cfg);
-            sys.publish_all();
-            sys.net_mut().reset_stats();
-            sys.delete_document(DocId(3));
-            let stats = sys.net().stats();
-            (
-                stats.count(MsgKind::IndexRemove),
-                stats.bytes(MsgKind::IndexRemove),
-            )
-        };
-        assert_eq!(run(true), run(false));
     }
 }
