@@ -636,3 +636,132 @@ fn ring_churn_schedule_passes_through_the_pinned_rings() {
         "ring fingerprints after build, failures + repair, joins + repair"
     );
 }
+
+// ---------------------------------------------------------------------
+// Pinned learning runs whose index depends on *when* a delivered record
+// is installed relative to delivery gating and to the same pass's
+// removals. The values are those of the commit before index records were
+// installed as one merge per inverted list.
+// ---------------------------------------------------------------------
+
+#[test]
+fn lossy_replicated_learning_ends_in_the_pinned_index_and_bill() {
+    use sprite::audit::determinism::{fingerprint_index, fingerprint_stats};
+
+    let world = tiny_world();
+    let cfg = SpriteConfig {
+        replication: 3,
+        ..SpriteConfig::default()
+    };
+    let mut sys = world.new_system(cfg);
+    // One retransmission: most dropped records arrive on the retry (a
+    // timeout is billed, the record is installed), a few drown for good.
+    sys.net_mut().set_sim(SimConfig {
+        seed: 5,
+        loss: 0.05,
+        max_retries: 1,
+        ..SimConfig::default()
+    });
+    sys.publish_all();
+    world.issue(&mut sys, &world.train, Schedule::WithoutRepeats);
+    let records_before = {
+        let s = sys.net().stats();
+        s.count(MsgKind::IndexPublish) + s.count(MsgKind::Replication)
+    };
+    let added: usize = sys.learn(2).iter().map(|r| r.terms_added).sum();
+    let stats = sys.net().stats();
+    let delivered =
+        stats.count(MsgKind::IndexPublish) + stats.count(MsgKind::Replication) - records_before;
+    assert!(stats.count(MsgKind::Timeout) > 0, "no transmission dropped");
+    assert!(
+        0 < delivered && delivered < 3 * added as u64,
+        "no learning record drowned: {delivered} of {} delivered",
+        3 * added
+    );
+    assert_eq!(
+        fingerprint_index(&sys),
+        0xf8c04c25e352abc3d58a9b83735cbd81,
+        "index fingerprint"
+    );
+    assert_eq!(
+        fingerprint_stats(sys.net().stats()),
+        0xb37c2b875a5f3d209228185ee6abafe3,
+        "message and byte bill"
+    );
+}
+
+#[test]
+fn learning_pass_that_adds_and_removes_ends_in_the_pinned_index_and_bill() {
+    use sprite::audit::determinism::{fingerprint_index, fingerprint_stats};
+    use std::collections::BTreeSet;
+
+    // Every (term → documents listed under it) across the deployment; at
+    // replication 1 each term lives at exactly one peer.
+    fn lists(sys: &SpriteSystem) -> BTreeMap<TermId, BTreeSet<DocId>> {
+        let mut out: BTreeMap<TermId, BTreeSet<DocId>> = BTreeMap::new();
+        for peer in sys.indexing_peers() {
+            let st = sys.indexing_state(peer).expect("listed peer has state");
+            for (t, list) in st.terms() {
+                out.entry(t).or_default().extend(list.iter().map(|e| e.doc));
+            }
+        }
+        out
+    }
+
+    let world = tiny_world();
+    // A budget that is full after the first pass, so the second pass can
+    // only add a term by retracting another.
+    let cfg = SpriteConfig {
+        max_terms: 6,
+        ..SpriteConfig::default()
+    };
+    let mut sys = world.new_system(cfg);
+    sys.publish_all();
+    let (first, second) = world.train.split_at(world.train.len() / 2);
+    world.issue(&mut sys, first, Schedule::WithoutRepeats);
+    sys.learning_iteration();
+    // Two late documents over thirteen terms nobody indexes yet. `a`
+    // seeds its index with the rare term `r` (the list of `r` is `a`
+    // alone), `b` merely contains `r`. Three queries over six other terms
+    // of `a` then outrank `r` there, and one query `{r, y}` reaches `b`
+    // through its seed term `y`: in the next pass `a` retracts `r` and `b`
+    // publishes it.
+    let indexed = lists(&sys);
+    let free: Vec<TermId> = (0..sys.corpus().vocab().len() as u32)
+        .rev()
+        .map(TermId)
+        .filter(|t| !indexed.contains_key(t))
+        .take(13)
+        .collect();
+    let (r, y, a_rest, b_rest) = (free[0], free[1], &free[2..8], &free[8..12]);
+    let weighted = |head: TermId, rest: &[TermId]| -> Vec<(TermId, u32)> {
+        let terms = std::iter::once(head).chain(rest.iter().copied());
+        terms.zip((1..10u32).rev()).collect()
+    };
+    let a = sys.insert_document(weighted(r, a_rest));
+    let mut b_terms = weighted(y, b_rest);
+    b_terms.push((r, 1));
+    let b = sys.insert_document(b_terms);
+    assert!(sys.published_terms(a).contains(&r) && !sys.published_terms(b).contains(&r));
+    for _ in 0..3 {
+        sys.issue_query(&Query::new(a_rest.to_vec()), 20);
+    }
+    sys.issue_query(&Query::new(vec![r, y]), 20);
+    world.issue(&mut sys, second, Schedule::WithoutRepeats);
+    assert_eq!(lists(&sys)[&r], BTreeSet::from([a]), "`a` alone lists `r`");
+    let report = sys.learning_iteration();
+    assert!(report.terms_added > 0 && report.terms_removed > 0);
+    // The pass retracted the only entry of a list while another document
+    // published the same term: the list is emptied and re-created.
+    assert_eq!(lists(&sys)[&r], BTreeSet::from([b]), "`r` moved to `b`");
+    assert_eq!(
+        fingerprint_index(&sys),
+        0x625a78c87ab8e1b266d4313a4d034034,
+        "index fingerprint"
+    );
+    assert_eq!(
+        fingerprint_stats(sys.net().stats()),
+        0x7259c6ab6732dcc03b33b9066864910,
+        "message and byte bill"
+    );
+}
