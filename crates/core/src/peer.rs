@@ -124,10 +124,21 @@ impl IndexingState {
     /// the structural invariant `sprite-audit`'s `check_index` verifies —
     /// so scans and merges are deterministic regardless of publish order.
     pub fn publish(&mut self, term: TermId, entry: IndexEntry) {
+        self.publish_run(term, std::slice::from_ref(&entry));
+    }
+
+    /// Insert or update a whole run of entries under `term` — ascending
+    /// by document id, one entry per document — as one merge into the
+    /// list ([`PostingList::publish_run`]). Ends in the state publishing
+    /// the entries one by one would.
+    pub fn publish_run(&mut self, term: TermId, run: &[IndexEntry]) {
+        if run.is_empty() {
+            return; // an empty run must not leave an empty list behind
+        }
         self.inverted
             .entry(term)
             .or_insert_with(|| PostingList::new(true))
-            .publish(entry);
+            .publish_run(run);
     }
 
     /// Remove the entry for `(term, doc)` eagerly; true if it existed.
@@ -296,10 +307,9 @@ impl IndexingState {
     pub fn absorb_replica(&mut self, other: &IndexingState) -> usize {
         let mut copied = 0;
         for (&t, list) in &other.inverted {
-            for e in list {
-                self.publish(t, e);
-                copied += 1;
-            }
+            let live = list.to_entries();
+            self.publish_run(t, &live);
+            copied += live.len();
         }
         copied
     }

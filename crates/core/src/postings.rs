@@ -18,6 +18,18 @@
 //! property tests use the plain vector as the model the packed block is
 //! checked against.
 //!
+//! **Writes.** A packed block has one write kernel,
+//! [`PostingList::publish_run`]: a doc-ascending run of entries is
+//! appended when it lies past the last stored document, leaves the block
+//! untouched when every entry is already stored, equal and live, and is
+//! otherwise merged in one pass that copies stored entries verbatim and
+//! re-encodes only the gap varints an insertion changed. A single
+//! [`PostingList::publish`] is a run of one, and the two operations that
+//! take entries out ([`PostingList::remove`], [`PostingList::cleanup`])
+//! run the same pass with a drop set in place of the run. Nothing ever
+//! decodes a block into a vector, splices it and encodes it again, so
+//! bulk writers sort their records per list and merge each list once.
+//!
 //! **Tombstones.** Document deletion marks entries dead instead of
 //! re-encoding the list on the spot: each list carries a sorted side
 //! vector of tombstoned document ids, [`PostingIter`] skips them, and
@@ -25,14 +37,15 @@
 //! `wire_size`) sees only live entries. The physical reclaim happens in
 //! [`PostingList::cleanup`], called by the lazy pass in
 //! `maintenance_round`, which returns the reclaimed entries so the
-//! caller can bill each one. A tombstone never rewrites encoded bytes
-//! before the next cleanup watermark.
+//! caller can bill each one. A tombstone never rewrites encoded bytes:
+//! finding the document is an allocation-free scan that stops at the
+//! first document id at or past it.
 //!
 //! **This module is the only place posting lists may be built.** A
 //! `sprite-lint` rule bans `Vec<IndexEntry>` construction elsewhere so
 //! every list flows through the sorted-insert invariant enforced here.
 
-use sprite_util::{decode_varint, encode_varint, varint_len, RingId};
+use sprite_util::{decode_varint, encode_varint, varint_len, RingId, WireSize};
 
 use sprite_ir::DocId;
 
@@ -60,8 +73,8 @@ pub enum PostingList {
         dead: Vec<u32>,
     },
     /// The per-entry wire encoding, concatenated. `count` entries;
-    /// `last_doc` is the final (largest) document id, so in-order
-    /// publishes append without touching earlier bytes.
+    /// `last_doc` is the final (largest) document id, so runs past it
+    /// append without touching earlier bytes.
     Packed {
         /// Concatenated per-entry encodings (no count prefix).
         bytes: Vec<u8>,
@@ -119,6 +132,137 @@ fn decode_entry(bytes: &[u8], at: usize, prev_doc: Option<u32>) -> (IndexEntry, 
     )
 }
 
+/// Byte extent of one packed entry: `start..body` holds the doc-gap
+/// varint, `body..end` the owner address and the three metadata varints.
+struct RawEntry {
+    doc: u32,
+    start: usize,
+    body: usize,
+    end: usize,
+}
+
+/// Locate the entry starting at `at` without decoding its metadata.
+fn raw_entry(bytes: &[u8], at: usize, prev_doc: Option<u32>) -> RawEntry {
+    let (gap, body) = decode_varint(bytes, at).expect("packed postings: doc gap");
+    let doc = prev_doc.map_or(gap, |p| u64::from(p) + gap);
+    let mut end = body + 16;
+    for _ in 0..3 {
+        while bytes[end] & 0x80 != 0 {
+            end += 1;
+        }
+        end += 1;
+    }
+    RawEntry {
+        doc: doc as u32,
+        start: at,
+        body,
+        end,
+    }
+}
+
+/// Is an entry for `doc` — live or tombstoned — stored in the block? A
+/// scan that stops at the first document id at or past `doc`.
+fn block_contains(bytes: &[u8], count: u32, doc: u32) -> bool {
+    let (mut at, mut prev) = (0, None);
+    for _ in 0..count {
+        let raw = raw_entry(bytes, at, prev);
+        if raw.doc >= doc {
+            return raw.doc == doc;
+        }
+        prev = Some(raw.doc);
+        at = raw.end;
+    }
+    false
+}
+
+/// The read-only half of [`PostingList::publish_run`]: true when every
+/// entry of `run` is already stored, equal and not tombstoned, so the
+/// block need not be touched.
+fn run_is_stored(bytes: &[u8], count: u32, dead: &[u32], run: &[IndexEntry]) -> bool {
+    let (mut at, mut prev, mut next) = (0, None, 0);
+    for _ in 0..count {
+        let raw = raw_entry(bytes, at, prev);
+        let want = &run[next];
+        if raw.doc > want.doc.0 {
+            return false;
+        }
+        if raw.doc == want.doc.0 {
+            if decode_entry(bytes, at, prev).0 != *want || dead.binary_search(&raw.doc).is_ok() {
+                return false;
+            }
+            next += 1;
+            if next == run.len() {
+                return true;
+            }
+        }
+        prev = Some(raw.doc);
+        at = raw.end;
+    }
+    false
+}
+
+/// The one byte-rewrite pass behind every packed mutation that is not a
+/// pure append: merge the doc-ascending `run` into the block (an entry of
+/// the run replaces a stored entry for the same document) and leave out
+/// the documents in the sorted `drop` set. A kept entry is re-encoded only
+/// when its predecessor changed — then only its gap varint is written
+/// anew — and every maximal stretch of entries whose predecessors are
+/// unchanged is copied as one slice. Returns the new block, its entry
+/// count and last document id, and the dropped entries in document order.
+fn rewrite(
+    bytes: &[u8],
+    count: u32,
+    run: &[IndexEntry],
+    drop: &[u32],
+) -> (Vec<u8>, u32, u32, Vec<IndexEntry>) {
+    // An entry's stand-alone wire size bounds its gap-encoded size.
+    let incoming: usize = run.iter().map(WireSize::wire_size).sum();
+    let mut out = Vec::with_capacity(bytes.len() + incoming);
+    let mut dropped = Vec::with_capacity(drop.len());
+    let mut kept = 0u32;
+    // Predecessor document in the old block and in the output.
+    let (mut old_prev, mut out_prev) = (None, None);
+    // Old bytes `copy_from..at` are kept verbatim but not yet copied.
+    let (mut at, mut copy_from) = (0, 0);
+    let (mut run, mut drop) = (run.iter().peekable(), drop.iter().peekable());
+    for _ in 0..count {
+        let raw = raw_entry(bytes, at, old_prev);
+        while let Some(e) = run.next_if(|e| e.doc.0 <= raw.doc) {
+            out.extend_from_slice(&bytes[copy_from..raw.start]);
+            copy_from = raw.start;
+            encode_entry(e, out_prev, &mut out);
+            out_prev = Some(e.doc.0);
+            kept += 1;
+        }
+        let is_dropped = drop.next_if(|&&d| d == raw.doc).is_some();
+        if is_dropped || out_prev == Some(raw.doc) {
+            out.extend_from_slice(&bytes[copy_from..raw.start]);
+            copy_from = raw.end;
+            if is_dropped {
+                dropped.push(decode_entry(bytes, at, old_prev).0);
+            }
+        } else {
+            if out_prev != old_prev {
+                out.extend_from_slice(&bytes[copy_from..raw.start]);
+                let base = out_prev.map_or(0, u64::from);
+                encode_varint(u64::from(raw.doc) - base, &mut out);
+                copy_from = raw.body;
+            }
+            out_prev = Some(raw.doc);
+            kept += 1;
+        }
+        old_prev = Some(raw.doc);
+        at = raw.end;
+    }
+    out.extend_from_slice(&bytes[copy_from..at]);
+    for e in run {
+        encode_entry(e, out_prev, &mut out);
+        out_prev = Some(e.doc.0);
+        kept += 1;
+    }
+    (out, kept, out_prev.unwrap_or(0), dropped)
+}
+
 impl PostingList {
     /// A fresh empty list in the requested representation.
     #[must_use]
@@ -150,18 +294,9 @@ impl PostingList {
                 dead: Vec::new(),
             };
         }
-        let mut bytes = Vec::new();
-        let mut prev: Option<u32> = None;
-        for e in &entries {
-            encode_entry(e, prev, &mut bytes);
-            prev = Some(e.doc.index() as u32);
-        }
-        PostingList::Packed {
-            bytes,
-            count: entries.len() as u32,
-            last_doc: prev.unwrap_or(0),
-            dead: Vec::new(),
-        }
+        let mut list = PostingList::new(true);
+        list.publish_run(&entries);
+        list
     }
 
     /// True when stored in the compressed representation.
@@ -198,7 +333,8 @@ impl PostingList {
 
     /// The packed block's raw encoded bytes, when packed. Exposed so
     /// tests can assert the append-only contract: between cleanups,
-    /// in-order publishes and tombstones never rewrite existing bytes.
+    /// appended runs, refreshes that change nothing and tombstones never
+    /// rewrite existing bytes.
     #[must_use]
     pub fn packed_bytes(&self) -> Option<&[u8]> {
         match self {
@@ -239,27 +375,6 @@ impl PostingList {
         self.iter().collect()
     }
 
-    /// Every stored entry, tombstoned ones included — the physical
-    /// contents, used only by the re-encode paths below so a splice
-    /// never silently reclaims dead entries the cleanup pass must bill.
-    fn all_entries(&self) -> Vec<IndexEntry> {
-        match self {
-            PostingList::Plain { entries, .. } => entries.clone(),
-            PostingList::Packed { bytes, count, .. } => {
-                let mut out = Vec::with_capacity(*count as usize);
-                let mut at = 0;
-                let mut prev = None;
-                for _ in 0..*count {
-                    let (e, next_at) = decode_entry(bytes, at, prev);
-                    at = next_at;
-                    prev = Some(e.doc.index() as u32);
-                    out.push(e);
-                }
-                out
-            }
-        }
-    }
-
     /// Exact wire size of this list as a `QueryFetch` payload: count
     /// prefix plus the per-entry encodings of the *live* entries.
     /// Agrees byte-for-byte with
@@ -295,57 +410,66 @@ impl PostingList {
     }
 
     /// Insert or replace the entry for its document, keeping the list
-    /// sorted by document id with one entry per document. A republished
-    /// document sheds any pending tombstone. In-order publishes
-    /// (ascending doc ids — the bulk-publish common case) append to the
-    /// packed block without re-encoding; out-of-order publishes decode,
-    /// splice, and re-encode.
+    /// sorted by document id with one entry per document:
+    /// [`Self::publish_run`] on a run of one.
     pub fn publish(&mut self, entry: IndexEntry) {
-        let doc = entry.doc.index() as u32;
+        self.publish_run(std::slice::from_ref(&entry));
+    }
+
+    /// Insert or replace a whole run of entries — ascending by document
+    /// id, one entry per document — in one pass over the list. The one
+    /// write kernel of a packed block:
+    ///
+    /// * a run that lies past the last stored document is appended, no
+    ///   earlier byte touched;
+    /// * a run whose every entry is already stored, equal and not
+    ///   tombstoned leaves the block untouched (a read-only compare, no
+    ///   allocation);
+    /// * anything else is one merge pass that copies stored
+    ///   entries verbatim and re-encodes only the gaps an insertion
+    ///   changed. A republished document sheds any pending tombstone.
+    ///
+    /// The result is what publishing the entries one by one, in any
+    /// order, would leave behind.
+    pub fn publish_run(&mut self, run: &[IndexEntry]) {
+        debug_assert!(
+            run.windows(2).all(|w| w[0].doc < w[1].doc),
+            "a run ascends by document id with one entry per document"
+        );
+        let Some(first) = run.first() else {
+            return;
+        };
         match self {
             PostingList::Plain { entries, dead } => {
-                if let Ok(i) = dead.binary_search(&doc) {
-                    dead.remove(i);
-                }
-                match entries.binary_search_by_key(&entry.doc, |e| e.doc) {
-                    Ok(i) => entries[i] = entry,
-                    Err(i) => entries.insert(i, entry),
+                for &entry in run {
+                    if let Ok(i) = dead.binary_search(&entry.doc.0) {
+                        dead.remove(i);
+                    }
+                    match entries.binary_search_by_key(&entry.doc, |e| e.doc) {
+                        Ok(i) => entries[i] = entry,
+                        Err(i) => entries.insert(i, entry),
+                    }
                 }
             }
             PostingList::Packed {
                 bytes,
                 count,
                 last_doc,
-                ..
+                dead,
             } => {
                 // Tombstoned docs were published before, so they sit at
-                // or below `last_doc`: the in-order append path can
-                // never hit one.
-                if *count == 0 {
-                    encode_entry(&entry, None, bytes);
-                    *count = 1;
-                    *last_doc = doc;
-                } else if doc > *last_doc {
-                    encode_entry(&entry, Some(*last_doc), bytes);
-                    *count += 1;
-                    *last_doc = doc;
-                } else {
-                    let mut list = self.all_entries();
-                    match list.binary_search_by_key(&entry.doc, |e| e.doc) {
-                        Ok(i) => list[i] = entry,
-                        Err(i) => list.insert(i, entry),
+                // or below `last_doc`: the append path can never hit one.
+                if *count == 0 || first.doc.0 > *last_doc {
+                    let mut prev = (*count > 0).then_some(*last_doc);
+                    for e in run {
+                        encode_entry(e, prev, bytes);
+                        prev = Some(e.doc.0);
                     }
-                    let mut dead = match self {
-                        PostingList::Packed { dead, .. } => std::mem::take(dead),
-                        PostingList::Plain { .. } => unreachable!(),
-                    };
-                    if let Ok(i) = dead.binary_search(&doc) {
-                        dead.remove(i);
-                    }
-                    *self = PostingList::from_entries(list, true);
-                    if let PostingList::Packed { dead: d, .. } = self {
-                        *d = dead;
-                    }
+                    *count += run.len() as u32;
+                    *last_doc = prev.unwrap_or(0);
+                } else if !run_is_stored(bytes, *count, dead, run) {
+                    (*bytes, *count, *last_doc, _) = rewrite(bytes, *count, run, &[]);
+                    dead.retain(|d| run.binary_search_by_key(d, |e| e.doc.0).is_err());
                 }
             }
         }
@@ -357,7 +481,7 @@ impl PostingList {
     pub fn remove(&mut self, doc: DocId) -> bool {
         match self {
             PostingList::Plain { entries, dead } => {
-                if let Ok(i) = dead.binary_search(&(doc.index() as u32)) {
+                if let Ok(i) = dead.binary_search(&doc.0) {
                     dead.remove(i);
                 }
                 let before = entries.len();
@@ -365,27 +489,17 @@ impl PostingList {
                 entries.len() != before
             }
             PostingList::Packed {
-                count, last_doc, ..
+                bytes,
+                count,
+                last_doc,
+                dead,
             } => {
-                if *count == 0 || doc.index() as u32 > *last_doc {
+                if doc.0 > *last_doc || !block_contains(bytes, *count, doc.0) {
                     return false;
                 }
-                let mut list = self.all_entries();
-                let before = list.len();
-                list.retain(|e| e.doc != doc);
-                if list.len() == before {
-                    return false;
-                }
-                let mut dead = match self {
-                    PostingList::Packed { dead, .. } => std::mem::take(dead),
-                    PostingList::Plain { .. } => unreachable!(),
-                };
-                if let Ok(i) = dead.binary_search(&(doc.index() as u32)) {
+                (*bytes, *count, *last_doc, _) = rewrite(bytes, *count, &[], &[doc.0]);
+                if let Ok(i) = dead.binary_search(&doc.0) {
                     dead.remove(i);
-                }
-                *self = PostingList::from_entries(list, true);
-                if let PostingList::Packed { dead: d, .. } = self {
-                    *d = dead;
                 }
                 true
             }
@@ -395,25 +509,31 @@ impl PostingList {
     /// Mark the entry for `doc` dead without touching the stored bytes;
     /// true if a live entry existed. The entry disappears from every
     /// live-facing accessor immediately; the physical reclaim — and its
-    /// billing — waits for [`Self::cleanup`].
+    /// billing — waits for [`Self::cleanup`]. On a packed block the
+    /// presence check is an allocation-free scan that stops at the first
+    /// document id at or past `doc`.
     pub fn tombstone(&mut self, doc: DocId) -> bool {
-        let id = doc.index() as u32;
-        let present = match self {
-            PostingList::Plain { entries, .. } => {
-                entries.binary_search_by_key(&doc, |e| e.doc).is_ok()
+        let (present, dead) = match self {
+            PostingList::Plain { entries, dead } => {
+                (entries.binary_search_by_key(&doc, |e| e.doc).is_ok(), dead)
             }
-            PostingList::Packed { .. } => self.all_entries().iter().any(|e| e.doc == doc),
+            PostingList::Packed {
+                bytes,
+                count,
+                last_doc,
+                dead,
+            } => (
+                doc.0 <= *last_doc && block_contains(bytes, *count, doc.0),
+                dead,
+            ),
         };
         if !present {
             return false;
         }
-        let dead = match self {
-            PostingList::Plain { dead, .. } | PostingList::Packed { dead, .. } => dead,
-        };
-        match dead.binary_search(&id) {
+        match dead.binary_search(&doc.0) {
             Ok(_) => false,
             Err(i) => {
-                dead.insert(i, id);
+                dead.insert(i, doc.0);
                 true
             }
         }
@@ -421,29 +541,31 @@ impl PostingList {
 
     /// Physically reclaim every tombstoned entry, returning the
     /// reclaimed entries in document order so the caller can bill each
-    /// one. A no-op (empty vector) when no tombstones are pending; for
-    /// packed blocks this is the only operation allowed to rewrite
-    /// bytes behind the append watermark.
+    /// one. A no-op (empty vector) when no tombstones are pending. For
+    /// packed blocks this and [`Self::remove`] are the only operations
+    /// that take bytes *out* from behind the append watermark.
     pub fn cleanup(&mut self) -> Vec<IndexEntry> {
         if self.dead_count() == 0 {
             return Vec::new();
         }
-        let all = self.all_entries();
         match self {
             PostingList::Plain { entries, dead } => {
-                let (live, reclaimed): (Vec<_>, Vec<_>) = all
+                let dead = std::mem::take(dead);
+                let (live, reclaimed) = std::mem::take(entries)
                     .into_iter()
-                    .partition(|e| dead.binary_search(&(e.doc.index() as u32)).is_err());
+                    .partition(|e| dead.binary_search(&e.doc.0).is_err());
                 *entries = live;
-                dead.clear();
                 reclaimed
             }
-            PostingList::Packed { dead, .. } => {
-                let dead_docs = std::mem::take(dead);
-                let (live, reclaimed): (Vec<_>, Vec<_>) = all
-                    .into_iter()
-                    .partition(|e| dead_docs.binary_search(&(e.doc.index() as u32)).is_err());
-                *self = PostingList::from_entries(live, true);
+            PostingList::Packed {
+                bytes,
+                count,
+                last_doc,
+                dead,
+            } => {
+                let reclaimed;
+                (*bytes, *count, *last_doc, reclaimed) =
+                    rewrite(bytes, *count, &[], &std::mem::take(dead));
                 reclaimed
             }
         }

@@ -127,12 +127,12 @@ pub struct SpriteSystem {
 /// keeps the flush order deterministic without an explicit sort.
 ///
 /// The batch carries the *records themselves*, not just their count:
-/// since the event-driven delivery layer, installation at the indexing
-/// peer happens at flush time, gated on the batch message actually
-/// arriving — a drowned batch leaves a real hole in the index. At zero
-/// loss every slot delivers, and because [`IndexingState::publish`] is an
-/// order-independent sorted insert, deferring the installs to the flush is
-/// unobservable there.
+/// installation at the indexing peer is gated on the batch message
+/// actually arriving — a drowned batch leaves a real hole in the index.
+/// The flush hands the records of every delivered slot, in arrival order,
+/// to [`SpriteSystem::install`], which merges them into each inverted
+/// list once; because [`IndexingState::publish`] is an order-independent
+/// sorted insert, that is the state per-record installs would reach.
 #[derive(Debug, Default)]
 pub(crate) struct PublishBatch {
     /// (origin, destination, kind code) → (records, payload bytes).
@@ -142,6 +142,14 @@ pub(crate) struct PublishBatch {
 /// One batched message in flight: the index records it carries and their
 /// summed payload bytes.
 type BatchSlot = (Vec<(TermId, IndexEntry)>, u64);
+
+/// Index records that reached their indexing peer and await installation:
+/// per destination, the `(term, entry)` records in arrival order. Always a
+/// local of one top-level operation (a batch flush, a learning pass, a
+/// single-record publish), handed to [`SpriteSystem::install`] before it
+/// returns — never stored, so between operations every delivered record is
+/// in the index.
+type Installs = BTreeMap<u128, Vec<(TermId, IndexEntry)>>;
 
 /// Kind codes used as `PublishBatch` keys (only data-bearing bulk kinds
 /// are ever batched).
@@ -523,7 +531,7 @@ impl SpriteSystem {
     pub fn publish_all(&mut self) {
         let tick = self.next_tick();
         traced!(self, sink, {
-            let mut batch = PublishBatch::default();
+            let (mut batch, mut installs) = (PublishBatch::default(), Installs::new());
             for i in 0..self.corpus.len() {
                 let doc = DocId(i as u32);
                 if self.deleted[i] || !self.owners[i].published.is_empty() {
@@ -534,12 +542,21 @@ impl SpriteSystem {
                     .doc(doc)
                     .top_frequent_terms(self.cfg.initial_terms);
                 for &t in &initial {
-                    self.publish_term_impl(doc, t, Phase::Publish, tick, sink, Some(&mut batch));
+                    self.publish_term_impl(
+                        doc,
+                        t,
+                        Phase::Publish,
+                        tick,
+                        sink,
+                        Some(&mut batch),
+                        &mut installs,
+                    );
                 }
                 self.owners[i].published = initial;
                 self.debug_validate_owner(doc);
             }
-            self.flush_publish_batch(batch, Phase::Publish, tick, sink);
+            self.flush_publish_batch(batch, &mut installs, Phase::Publish, tick, sink);
+            self.install(installs);
         });
     }
 
@@ -565,17 +582,23 @@ impl SpriteSystem {
         tick: u64,
         sink: &mut T,
     ) {
-        self.publish_term_impl(doc, term, phase, tick, sink, None);
+        let mut installs = Installs::new();
+        self.publish_term_impl(doc, term, phase, tick, sink, None, &mut installs);
+        self.install(installs);
     }
 
     /// The publishing core. With `batch: None`, every record is its own
     /// message (plus its payload bytes), sent through the delivery layer
-    /// immediately. With a batch, routing and payload bytes are identical,
-    /// but message charges *and index installation* are deferred into the
+    /// immediately; the records that arrive are pushed onto `installs`.
+    /// With a batch, routing and payload bytes are identical, but the
+    /// message charges and the delivery verdict are deferred into the
     /// accumulator for a per-destination flush through the event scheduler
-    /// — at zero loss the index contents cannot differ because
-    /// [`IndexingState::publish`] is an order-independent sorted insert,
-    /// while under loss a drowned message leaves its records unindexed.
+    /// and `installs` is left alone. Either way the caller owns the moment
+    /// of installation ([`Self::install`]): under loss a drowned message
+    /// leaves its records unindexed, and at any loss rate the index
+    /// contents cannot depend on when the survivors are merged in, because
+    /// [`IndexingState::publish`] is an order-independent sorted insert.
+    #[allow(clippy::too_many_arguments)]
     fn publish_term_impl<T: TraceSink>(
         &mut self,
         doc: DocId,
@@ -584,6 +607,7 @@ impl SpriteSystem {
         tick: u64,
         sink: &mut T,
         mut batch: Option<&mut PublishBatch>,
+        installs: &mut Installs,
     ) {
         let owner_peer = self.doc_owner[doc.index()];
         let key = self.term_ring(term);
@@ -616,7 +640,10 @@ impl SpriteSystem {
                     tick,
                     sink,
                 ) {
-                    self.install_entry(lookup.owner, term, entry);
+                    installs
+                        .entry(lookup.owner.0)
+                        .or_default()
+                        .push((term, entry));
                 }
             }
         }
@@ -640,7 +667,7 @@ impl SpriteSystem {
                             tick,
                             sink,
                         ) {
-                            self.install_entry(peer, term, entry);
+                            installs.entry(peer.0).or_default().push((term, entry));
                         }
                     }
                 }
@@ -656,9 +683,28 @@ impl SpriteSystem {
             .or_insert_with(|| IndexingState::new(cap))
     }
 
-    /// Store one index record at `peer` (order-independent sorted insert).
-    fn install_entry(&mut self, peer: RingId, term: TermId, entry: IndexEntry) {
-        self.indexing_entry(peer).publish(term, entry);
+    /// Store delivered index records: order each destination's records by
+    /// `(term, document)` — a stable sort, and the last arrival wins a
+    /// repeated `(term, document)`, which is what sequential inserts do —
+    /// and merge each inverted list once
+    /// ([`IndexingState::publish_run`]).
+    fn install(&mut self, installs: Installs) {
+        let mut run: Vec<IndexEntry> = Vec::new();
+        for (dest, mut records) in installs {
+            records.sort_by_key(|&(term, entry)| (term, entry.doc));
+            let st = self.indexing_entry(RingId(dest));
+            let mut records = records.into_iter().peekable();
+            while let Some((term, entry)) = records.next() {
+                if run.last().is_some_and(|last| last.doc == entry.doc) {
+                    run.pop();
+                }
+                run.push(entry);
+                if records.peek().map(|&(next, _)| next) != Some(term) {
+                    st.publish_run(term, &run);
+                    run.clear();
+                }
+            }
+        }
     }
 
     /// Send one data-bearing record `origin → dest` through the delivery
@@ -699,10 +745,12 @@ impl SpriteSystem {
     /// order. At zero latency every arrival is `t = 0` and pop order is
     /// push (slot-key) order — exactly the lockstep flush this replaced.
     /// A drowned slot bills only its retransmission timeouts: its records
-    /// are never installed, so the index genuinely loses them.
+    /// are never installed, so the index genuinely loses them. The records
+    /// of every delivered slot join `installs` in arrival order.
     fn flush_publish_batch<T: TraceSink>(
         &mut self,
         batch: PublishBatch,
+        installs: &mut Installs,
         phase: Phase,
         tick: u64,
         sink: &mut T,
@@ -733,9 +781,7 @@ impl SpriteSystem {
             self.net
                 .charge_traced(kind, phase, tick, RingId(dest), sink);
             self.net.charge_bytes_traced(kind, bytes, sink);
-            for (term, entry) in records {
-                self.install_entry(RingId(dest), term, entry);
-            }
+            installs.entry(dest).or_default().extend(records);
         }
     }
 
@@ -1158,6 +1204,13 @@ impl SpriteSystem {
             return report;
         }
         let seq_now = self.query_seq;
+        // Each diff record is billed and delivery-gated on the spot; the
+        // ones that arrive are merged into the index when the pass ends.
+        // Nothing in a pass reads an inverted list — polls read the query
+        // caches, selection reads owner statistics, and the eager
+        // retractions hit `(term, document)` pairs disjoint from the
+        // additions — so the deferral is unobservable.
+        let mut installs = Installs::new();
         for i in 0..self.corpus.len() {
             let doc = DocId(i as u32);
             let published = self.owners[i].published.clone();
@@ -1260,7 +1313,7 @@ impl SpriteSystem {
             let mut changed = false;
             for &t in &new_terms {
                 if !published.contains(&t) {
-                    self.publish_term_with(doc, t, Phase::Learn, tick, sink);
+                    self.publish_term_impl(doc, t, Phase::Learn, tick, sink, None, &mut installs);
                     report.terms_added += 1;
                     changed = true;
                 }
@@ -1278,6 +1331,7 @@ impl SpriteSystem {
             self.owners[i].published = new_terms;
             self.debug_validate_owner(doc);
         }
+        self.install(installs);
         report
     }
 
@@ -1432,6 +1486,57 @@ mod tests {
         let before = sys.total_index_entries();
         sys.publish_all();
         assert_eq!(sys.total_index_entries(), before);
+    }
+
+    #[test]
+    fn install_merges_a_repeated_record_like_sequential_inserts() {
+        // One flush can carry the same (term, document) twice to one
+        // destination — a stale route that resolves to a cached replica —
+        // and records arrive out of document order. The merge must end
+        // where per-record inserts in arrival order end: last arrival wins.
+        let (_sc, mut merged) = tiny_system(SpriteConfig::default());
+        merged.publish_all();
+        let (listed, fresh) = (merged.published_terms(DocId(0))[0], TermId(0));
+        let key = merged.term_ring(listed);
+        let (p, q) = (merged.net().oracle_owner(key).unwrap(), merged.peers()[0]);
+        let entry = |doc: u32, tf: u32| IndexEntry {
+            doc: DocId(doc),
+            owner: p,
+            tf,
+            doc_len: 90 + doc,
+            distinct: 40,
+        };
+        let arrivals = [
+            (p, listed, entry(150, 1)),
+            (p, fresh, entry(9, 1)),
+            (p, listed, entry(0, 7)), // replaces the stored entry of doc 0
+            (q, listed, entry(150, 2)),
+            (p, listed, entry(150, 3)), // the repeat: this one must win
+            (p, listed, entry(4, 1)),
+            (p, fresh, entry(2, 5)),
+            (p, listed, entry(0, 8)), // and this one
+        ];
+        let mut sequential = merged.clone();
+        let mut installs = Installs::new();
+        for &(dest, term, e) in &arrivals {
+            sequential.indexing_entry(dest).publish(term, e);
+            installs.entry(dest.0).or_default().push((term, e));
+        }
+        merged.install(installs);
+        assert_eq!(merged.indexing_peers(), sequential.indexing_peers());
+        for peer in merged.indexing_peers() {
+            let (a, b) = (
+                merged.indexing_state(peer).unwrap(),
+                sequential.indexing_state(peer).unwrap(),
+            );
+            assert_eq!(a.indexed_terms(), b.indexed_terms());
+            for ((ta, la), (tb, lb)) in a.terms().zip(b.terms()) {
+                assert_eq!((ta, la.packed_bytes()), (tb, lb.packed_bytes()));
+            }
+        }
+        let stored = merged.indexing_state(p).unwrap().entries(listed);
+        let tf_of = |doc: u32| stored.iter().find(|e| e.doc == DocId(doc)).map(|e| e.tf);
+        assert_eq!((tf_of(0), tf_of(150)), (Some(8), Some(3)));
     }
 
     #[test]

@@ -6,11 +6,13 @@
 //! vector model, on the plain and packed representations side by side —
 //! every live-facing accessor must agree with the model at every step,
 //! and a packed block must never rewrite bytes behind its append
-//! watermark except through [`PostingList::cleanup`].
+//! watermark except through [`PostingList::cleanup`]. The write kernel,
+//! [`PostingList::publish_run`], is held to the same model: a run leaves
+//! exactly what its entries published one by one, in any order, leave.
 
 use sprite_core::{IndexEntry, PostingList};
 use sprite_ir::DocId;
-use sprite_util::{derive_rng, DetRng, RingId};
+use sprite_util::{derive_rng, DetRng, RingId, SliceRng};
 
 fn rng(label: &str) -> DetRng {
     derive_rng(0xC0DE, label)
@@ -149,9 +151,10 @@ fn random_interleavings_agree_with_the_naive_model() {
     }
 }
 
-/// The packed append-only contract: between cleanups, in-order publishes
-/// and tombstones only ever *extend* the encoded block — every byte
-/// behind the watermark stays untouched. Only `cleanup` may rewrite.
+/// The packed append-only contract: between cleanups, in-order publishes,
+/// appended runs, refresh runs that change nothing and tombstones only
+/// ever *extend* the encoded block — every byte behind the watermark
+/// stays untouched. Only `cleanup` may rewrite.
 #[test]
 fn packed_bytes_are_append_only_until_cleanup() {
     let mut r = rng("watermark");
@@ -160,15 +163,34 @@ fn packed_bytes_are_append_only_until_cleanup() {
         let mut next_doc = 0u32;
         let mut snapshot: Vec<u8> = Vec::new();
         for _ in 0..r.gen_range(10..40) {
-            if r.gen_range(0..4) < 3 || next_doc == 0 {
+            match r.gen_range(0..8) {
                 // In-order publish: strictly ascending ids, the
                 // bulk-publish fast path.
-                next_doc += 1 + r.gen_range(0..3) as u32;
-                list.publish(entry(&mut r, next_doc));
-            } else {
+                0..=3 => {
+                    next_doc += 1 + r.gen_range(0..3) as u32;
+                    list.publish(entry(&mut r, next_doc));
+                }
+                // A whole run past the last stored document.
+                4 => {
+                    let mut run = Vec::new();
+                    for _ in 0..r.gen_range(1..5) {
+                        next_doc += 1 + r.gen_range(0..3) as u32;
+                        run.push(entry(&mut r, next_doc));
+                    }
+                    list.publish_run(&run);
+                }
+                // A refresh of entries already stored, equal and live.
+                5 => {
+                    let run: Vec<IndexEntry> =
+                        list.iter().filter(|_| r.gen_range(0..2) == 0).collect();
+                    list.publish_run(&run);
+                }
                 // Tombstone an already-published id: marks only.
-                let victim = 1 + r.gen_range(0..next_doc as usize) as u32;
-                list.tombstone(DocId(victim));
+                _ if next_doc > 0 => {
+                    let victim = 1 + r.gen_range(0..next_doc as usize) as u32;
+                    list.tombstone(DocId(victim));
+                }
+                _ => {}
             }
             let bytes = list.packed_bytes().expect("packed list");
             assert!(
@@ -212,4 +234,120 @@ fn republish_sheds_a_pending_tombstone() {
             assert!(list.cleanup().is_empty(), "nothing left to reclaim");
         }
     }
+}
+
+/// A packed list over some documents of `0..doc_space` published in
+/// random order, a few of them tombstoned, with the model that mirrors it.
+fn random_list(r: &mut DetRng, doc_space: u32) -> (PostingList, Model) {
+    let (mut list, mut model) = (PostingList::new(true), Model::default());
+    let mut docs: Vec<u32> = (0..doc_space).filter(|_| r.gen_range(0..3) > 0).collect();
+    docs.shuffle(r);
+    for &d in &docs {
+        let e = entry(r, d);
+        list.publish(e);
+        model.publish(e);
+    }
+    for &d in docs.iter().filter(|_| r.gen_range(0..5) == 0) {
+        assert_eq!(list.tombstone(DocId(d)), model.tombstone(DocId(d)));
+    }
+    (list, model)
+}
+
+/// `publish_run` is the one-by-one publishes of its entries, in any order:
+/// same bytes, same counts, same contents, same wire size — for the empty
+/// run, pure appends, refreshes that change nothing, interleaved inserts,
+/// replacements, revived tombstones and runs longer than the list.
+#[test]
+fn publish_run_leaves_what_one_by_one_publishes_leave_in_any_order() {
+    let mut r = rng("run");
+    for round in 0..350 {
+        let doc_space = r.gen_range(1..40) as u32;
+        let (base, mut model) = random_list(&mut r, doc_space);
+        let stored: Vec<IndexEntry> = model.stored.iter().map(|(e, _)| *e).collect();
+        let tombstoned: Vec<u32> = model
+            .stored
+            .iter()
+            .filter_map(|(e, dead)| dead.then_some(e.doc.0))
+            .collect();
+        let mut fresh = |docs: Vec<u32>| -> Vec<IndexEntry> {
+            docs.into_iter().map(|d| entry(&mut r, d)).collect()
+        };
+        let mut coin = rng(&format!("run-coin-{round}"));
+        let run: Vec<IndexEntry> = match round % 7 {
+            0 => Vec::new(),
+            // All past the last stored document.
+            1 => fresh((doc_space..doc_space + 6).collect()),
+            // Entries already stored, byte for byte (live or not).
+            2 => {
+                let keep = |_: &IndexEntry| coin.gen_range(0..2) == 0;
+                stored.iter().copied().filter(keep).collect()
+            }
+            // New documents between, before and after the stored ones.
+            3 => fresh(
+                (0..doc_space + 3)
+                    .filter(|_| coin.gen_range(0..3) == 0)
+                    .collect(),
+            ),
+            // Stored documents with new metadata.
+            4 => fresh(stored.iter().map(|e| e.doc.0).step_by(2).collect()),
+            // Exactly the tombstoned documents.
+            5 => fresh(tombstoned.clone()),
+            // Several times the list: every document, and as many beyond.
+            _ => fresh((0..2 * doc_space + 2).collect()),
+        };
+
+        let mut merged = base.clone();
+        merged.publish_run(&run);
+        for e in &run {
+            model.publish(*e);
+        }
+        check_agreement(&merged, &model, round);
+
+        let mut shuffled = run.clone();
+        shuffled.shuffle(&mut coin);
+        let reversed: Vec<IndexEntry> = run.iter().rev().copied().collect();
+        for order in [&run, &reversed, &shuffled] {
+            let mut one_by_one = base.clone();
+            for e in order {
+                one_by_one.publish(*e);
+            }
+            assert_eq!(merged.packed_bytes(), one_by_one.packed_bytes(), "{round}");
+            assert_eq!(merged.len(), one_by_one.len());
+            assert_eq!(merged.dead_count(), one_by_one.dead_count());
+            assert_eq!(merged.to_entries(), one_by_one.to_entries());
+            assert_eq!(merged.wire_size(), one_by_one.wire_size());
+        }
+        // The block is canonical: building the live + dead contents from
+        // scratch gives the same bytes, so no merge left a stale gap.
+        let rebuilt =
+            PostingList::from_entries(model.stored.iter().map(|(e, _)| *e).collect(), true);
+        assert_eq!(merged.packed_bytes(), rebuilt.packed_bytes(), "{round}");
+    }
+}
+
+/// A refresh run whose every entry is already stored, equal and live is a
+/// read-only compare: the block keeps its bytes *and its allocation*.
+#[test]
+fn a_refresh_run_that_changes_nothing_never_touches_the_block() {
+    let mut r = rng("refresh");
+    let mut checked = 0;
+    for _ in 0..128 {
+        let doc_space = r.gen_range(1..40) as u32;
+        let (mut list, _) = random_list(&mut r, doc_space);
+        let run: Vec<IndexEntry> = list.iter().filter(|_| r.gen_range(0..2) == 0).collect();
+        if run.is_empty() {
+            continue;
+        }
+        checked += 1;
+        let block = list.packed_bytes().expect("packed list");
+        let (ptr, before) = (block.as_ptr(), block.to_vec());
+        let dead = list.dead_count();
+        list.publish_run(&run);
+        list.publish(run[run.len() / 2]);
+        let block = list.packed_bytes().expect("packed list");
+        assert_eq!(block.as_ptr(), ptr, "the block was reallocated");
+        assert_eq!(block, &before[..], "the block was rewritten");
+        assert_eq!(list.dead_count(), dead);
+    }
+    assert!(checked > 64, "only {checked} non-empty refresh runs");
 }
