@@ -9,9 +9,11 @@
 //! * **no-unwrap** — `.unwrap()` is banned in library code.
 //! * **expect-message** — `.expect(…)` must carry a non-empty string
 //!   literal.
-//! * **no-ambient-time** — simulation crates must not read wall-clock time
-//!   or ambient randomness (`SystemTime`, `Instant::now`, `thread_rng`,
-//!   `rand::`); `crates/bench` is exempt.
+//! * **no-ambient-time** — no workspace crate may read wall-clock time or
+//!   ambient randomness (`SystemTime`, `Instant::now`, `thread_rng`,
+//!   `rand::`). That includes `crates/bench`, which gates simulated
+//!   results only: clocks are read by the standalone `benchmark/` package,
+//!   outside the linted tree.
 //! * **forbid-unsafe** — crate roots must carry `#![forbid(unsafe_code)]`.
 //! * **no-raw-spawn** — `thread::spawn` / `thread::scope` only inside
 //!   `crates/util/src/pool.rs`.
@@ -120,18 +122,6 @@ impl Diagnostic {
     }
 }
 
-/// Crates whose sources are simulation code: deterministic by contract.
-const SIM_PREFIXES: &[&str] = &[
-    "crates/util/",
-    "crates/text/",
-    "crates/ir/",
-    "crates/chord/",
-    "crates/corpus/",
-    "crates/core/",
-    "crates/audit/",
-    "src/",
-];
-
 /// The one module allowed to touch raw threading primitives.
 const POOL_MODULE: &str = "crates/util/src/pool.rs";
 
@@ -183,10 +173,6 @@ const REDUCERS: &[&str] = &["sum", "count", "max", "min", "all", "any"];
 
 /// Idents whose presence in a function marks its output as ordered.
 const ORDER_MARKERS: &[&str] = &["top_k", "TopK", "BinaryHeap", "BTreeMap", "BTreeSet"];
-
-fn is_sim_crate(rel: &str) -> bool {
-    SIM_PREFIXES.iter().any(|p| rel.starts_with(p))
-}
 
 fn is_crate_root(rel: &str) -> bool {
     rel == "src/lib.rs" || (rel.starts_with("crates/") && rel.ends_with("/src/lib.rs"))
@@ -405,7 +391,6 @@ fn token_rules(f: &FileModel, out: &mut Vec<Diagnostic>) {
         return;
     }
 
-    let sim = is_sim_crate(rel);
     for i in 0..f.test_from.min(n) {
         if f.sig_kind(i) != TokenKind::Ident {
             continue;
@@ -474,25 +459,23 @@ fn token_rules(f: &FileModel, out: &mut Vec<Diagnostic>) {
                 ));
             }
         }
-        if sim && !rel.starts_with("crates/bench/") {
-            let ambient = if t == "SystemTime" {
-                Some(("wall-clock time", "SystemTime"))
-            } else if t == "Instant" && next == "::" && i + 2 < n && text(i + 2) == "now" {
-                Some(("wall-clock time", "Instant::now"))
-            } else if t == "thread_rng" {
-                Some(("ambient randomness", "thread_rng"))
-            } else if t == "rand" && next == "::" {
-                Some(("the rand crate", "rand::"))
-            } else {
-                None
-            };
-            if let Some((what, pat)) = ambient {
-                out.push(diag(
-                    line,
-                    "no-ambient-time",
-                    format!("{what} ({pat}) in a simulation crate; use seeded DetRng"),
-                ));
-            }
+        let ambient = if t == "SystemTime" {
+            Some(("wall-clock time", "SystemTime"))
+        } else if t == "Instant" && next == "::" && i + 2 < n && text(i + 2) == "now" {
+            Some(("wall-clock time", "Instant::now"))
+        } else if t == "thread_rng" {
+            Some(("ambient randomness", "thread_rng"))
+        } else if t == "rand" && next == "::" {
+            Some(("the rand crate", "rand::"))
+        } else {
+            None
+        };
+        if let Some((what, pat)) = ambient {
+            out.push(diag(
+                line,
+                "no-ambient-time",
+                format!("{what} ({pat}) in a simulation crate; use seeded DetRng"),
+            ));
         }
     }
 }

@@ -132,14 +132,27 @@ fn direct_delivery_sampling_is_confined_to_the_delivery_layer() {
 }
 
 #[test]
-fn ambient_time_is_banned_in_sim_crates_only() {
+fn ambient_time_is_banned_in_every_crate_bench_included() {
     let timey = "pub fn t() -> std::time::Instant { std::time::Instant::now() }\n";
+    // `crates/bench` is a simulation crate like the rest — it gates
+    // simulated results and reads no clock; only the exempt test/example
+    // directories may.
     let diags = run(&[
         ("crates/core/src/fx.rs", timey),
         ("crates/bench/src/fx.rs", timey),
+        ("crates/bench/src/bin/fx.rs", timey),
+        ("tests/fx.rs", timey),
     ]);
-    assert_eq!(lines(&diags), [(1, "no-ambient-time")]);
-    assert_eq!(diags[0].file, "crates/core/src/fx.rs");
+    assert_eq!(lines(&diags), [(1, "no-ambient-time"); 3]);
+    let files: Vec<&str> = diags.iter().map(|d| d.file.as_str()).collect();
+    assert_eq!(
+        files,
+        [
+            "crates/bench/src/bin/fx.rs",
+            "crates/bench/src/fx.rs",
+            "crates/core/src/fx.rs"
+        ]
+    );
 }
 
 // ---------------------------------------------------------------------

@@ -10,9 +10,7 @@ use sprite_core::fig4a;
 fn main() {
     let world = build_world(42);
     let answers = [5usize, 10, 15, 20, 25, 30];
-    let t0 = std::time::Instant::now();
     let fig = fig4a(&world, &answers);
-    eprintln!("# fig4a computed in {:.1?}", t0.elapsed());
 
     let rows: Vec<Vec<String>> = answers
         .iter()

@@ -9,9 +9,7 @@ use sprite_core::fig4b;
 fn main() {
     let world = build_world(42);
     let budgets = [5usize, 10, 15, 20, 25, 30];
-    let t0 = std::time::Instant::now();
     let fig = fig4b(&world, &budgets, 20);
-    eprintln!("# fig4b computed in {:.1?}", t0.elapsed());
 
     let rows: Vec<Vec<String>> = budgets
         .iter()

@@ -9,9 +9,7 @@ use sprite_core::fig4c;
 
 fn main() {
     let world = build_world(42);
-    let t0 = std::time::Instant::now();
     let fig = fig4c(&world, 10, 20);
-    eprintln!("# fig4c computed in {:.1?}", t0.elapsed());
 
     let rows: Vec<Vec<String>> = fig
         .sprite

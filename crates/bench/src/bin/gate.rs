@@ -1,54 +1,31 @@
-//! `gate` — the CI regression gate over `BENCH_experiments.json`.
+//! `gate` — the CI results gate over `BENCH_experiments.json`.
 //!
 //! First runs the workspace source lint in-process (`sprite_audit::analyze`
-//! — same engine as `sprite-lint`), then recomputes the deterministic
-//! `metrics` object from a fresh `SPRITE_SCALE=small` run (the committed
+//! — same engine as `sprite-lint`), then recollects the results table
+//! (`sprite_bench::metrics::collect`, the code `--bin bench` writes the
+//! baseline with) from a fresh `SPRITE_SCALE=small` run (the committed
 //! baseline's scale; override with the usual variable) and diffs it
-//! against the committed baseline: precision/recall ratios within
-//! `RATIO_TOLERANCE`, every message count and histogram bucket within
-//! `COUNT_TOLERANCE`. It then remeasures the headline `throughput` object
-//! and band-compares it: structure and the `bit_identical` flag exactly,
-//! queries/sec and the speedup within the one-sided
-//! `THROUGHPUT_TOLERANCE` regression band (improvements always pass).
-//! Finally it replays the `loss` sweep and diffs it point for point —
-//! ratios within `RATIO_TOLERANCE`, timeout counts exact — also checking
-//! that every lossy point billed a nonzero timeout count, replays the
-//! `freshness` document-churn study (event and entry counts exact, the
-//! lifecycle invariants and the incremental-update savings floor enforced
-//! within the run), and re-accounts the `memory` object (logical bytes
-//! per peer exact to the byte; the build time advisory).
+//! against the committed baseline in both directions: counts, byte totals
+//! and histogram buckets exactly, ratios within `RATIO_TOLERANCE`, every
+//! baseline field the run no longer produces, and the within-run
+//! requirements (lossless points bill no timeouts and lossy points some,
+//! no deleted-document hit, no surviving tombstone, the incremental-update
+//! savings floor) whatever the baseline says. Nothing compared involves a
+//! clock, so the verdict is the same on every host and every run.
 //! Exits 0 when clean, 1 with one readable line per lint violation or
 //! divergence when not, 2 when the baseline is missing, unparseable, or
 //! was generated at a different scale.
 //!
 //! Run: `cargo run -p sprite-bench --bin gate --release [baseline.json]`
-//!
-//! Timing sections of the baseline (`figures_ms`, `micro_ns`, raw
-//! millisecond fields of `evaluate`/`throughput`) are machine-dependent
-//! and deliberately not gated.
 
 use std::process::ExitCode;
 
 use sprite_bench::json::{self, JsonValue};
-use sprite_bench::metrics::{
-    collect_freshness, collect_loss, collect_memory, collect_metrics, compare_against_baseline,
-    compare_freshness, compare_loss, compare_memory, compare_throughput, measure_throughput,
-};
+use sprite_bench::metrics::{collect, compare};
 
 fn main() -> ExitCode {
-    // The committed baseline is generated at small scale; match it unless
-    // the caller explicitly overrides.
-    if std::env::var("SPRITE_SCALE").is_err() {
-        std::env::set_var("SPRITE_SCALE", "small");
-    }
-    let scale = std::env::var("SPRITE_SCALE").unwrap_or_default();
-    let baseline_path = std::env::args().nth(1).unwrap_or_else(|| {
-        // crates/bench → workspace root, two levels up.
-        format!(
-            "{}/../../BENCH_experiments.json",
-            env!("CARGO_MANIFEST_DIR")
-        )
-    });
+    let scale = sprite_bench::baseline_scale();
+    let baseline_path = sprite_bench::baseline_path();
 
     let text = match std::fs::read_to_string(&baseline_path) {
         Ok(text) => text,
@@ -75,7 +52,7 @@ fn main() -> ExitCode {
     }
 
     // Source lint first: a determinism violation in the source makes the
-    // metric diff below meaningless.
+    // diff below meaningless.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .canonicalize()
@@ -87,7 +64,7 @@ fn main() -> ExitCode {
                 println!("gate: lint: {d}");
             }
             println!(
-                "gate: {} lint violation(s); fix before gating metrics",
+                "gate: {} lint violation(s); fix before gating results",
                 diags.len()
             );
             return ExitCode::FAILURE;
@@ -99,65 +76,12 @@ fn main() -> ExitCode {
     }
 
     eprintln!("# gate: scale={scale}, baseline {baseline_path}");
-    let world = sprite_bench::build_world(42);
-    let current = collect_metrics(&world);
-    let mut diffs = compare_against_baseline(&current, &baseline);
-    // Remeasure the headline throughput at the baseline's worker count so
-    // the band comparison is like for like.
-    let headline_workers = baseline
-        .path(&["throughput", "batched_workers"])
-        .and_then(JsonValue::as_u64)
-        .map_or(4, |w| w.max(2) as usize);
-    let throughput = measure_throughput(&world, headline_workers);
-    eprintln!(
-        "# gate: throughput batched@{} {:.2}x vs reference, {} q/s, bit-identical: {}",
-        throughput.batched_workers,
-        throughput.speedup_vs_reference,
-        throughput.batched_qps,
-        throughput.bit_identical
-    );
-    diffs.extend(compare_throughput(&throughput, &baseline));
-    // Replay the loss study: point-for-point exact (ratios within the
-    // JSON round-trip tolerance, timeout counts to the message), plus the
-    // within-run check that lossy points bill real timeouts.
-    let loss = collect_loss(&world);
-    let lossy_timeouts: u64 = loss
-        .points
-        .iter()
-        .filter(|p| p.loss > 0.0)
-        .map(|p| p.timeouts)
-        .sum();
-    eprintln!(
-        "# gate: loss sweep {} points, {lossy_timeouts} timeouts across the lossy points",
-        loss.points.len()
-    );
-    diffs.extend(compare_loss(&loss, &baseline));
-    // Replay the freshness study: the seeded document-churn lifecycle is
-    // exactly reproducible, so every event and entry count is diffed to
-    // the document, ratios within tolerance. The comparison also enforces
-    // the lifecycle invariants (no deleted-document hit, no surviving
-    // tombstone, the incremental-update savings floor) within this run.
-    let freshness = collect_freshness(&world);
-    eprintln!(
-        "# gate: freshness {} points, {:.1}% incremental-update savings over {} edits",
-        freshness.points.len(),
-        freshness.cost.savings_ratio * 100.0,
-        freshness.cost.updates
-    );
-    diffs.extend(compare_freshness(&freshness, &baseline));
-    // Re-account the memory footprint: logical byte counts are exact
-    // (bytes-per-peer to the byte); the build time is advisory.
-    let memory = collect_memory(&world);
-    eprintln!(
-        "# gate: memory {} B/peer over {} peers",
-        memory.bytes_per_peer, memory.peers
-    );
-    diffs.extend(compare_memory(&memory, &baseline));
+    let rows = collect(&sprite_bench::build_world(42));
+    let diffs = compare(&rows, &baseline);
     if diffs.is_empty() {
         println!(
-            "gate: metrics and throughput match the committed baseline ({} queries, {} traced \
-             events, {:.2}x batched speedup)",
-            current.queries, current.events, throughput.speedup_vs_reference
+            "gate: all {} gated fields match the committed baseline",
+            rows.len()
         );
         ExitCode::SUCCESS
     } else {

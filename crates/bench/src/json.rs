@@ -1,11 +1,11 @@
-//! A minimal JSON reader for the regression gate.
+//! A minimal JSON reader for the results gate.
 //!
 //! The workspace is dependency-free by policy, and `BENCH_experiments.json`
 //! is written by our own hand-rolled serializer, so the reader only needs
 //! honest RFC 8259 subset coverage: objects, arrays, strings with the
 //! common escapes, numbers, booleans, and null. Numbers are held as `f64`
-//! (every value the bench writes — counts, ratios, millisecond timings —
-//! is far inside the 2^53 exact-integer range).
+//! (every value the bench writes — counts, byte totals, ratios — is far
+//! inside the 2^53 exact-integer range).
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -58,15 +58,6 @@ impl JsonValue {
             JsonValue::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n < 2f64.powi(53) => {
                 Some(*n as u64)
             }
-            _ => None,
-        }
-    }
-
-    /// The boolean value, if this is a boolean.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
             _ => None,
         }
     }

@@ -1,16 +1,19 @@
-//! Shared plumbing for the experiment binaries.
+//! The paper's simulated results: figure printers and the exact gate.
 //!
 //! Every figure of the paper has a binary in `src/bin/` that prints the
-//! same series the paper plots. The scale is selected with the
+//! same series the paper plots; `--bin bench` writes the gated results
+//! table ([`metrics`]) as `BENCH_experiments.json` and `--bin gate` holds
+//! a fresh run to it. Nothing here reads a clock — speed is measured by
+//! the standalone `benchmark/` package. The scale is selected with the
 //! `SPRITE_SCALE` environment variable:
 //!
 //! * `full` (default) — the DESIGN.md default scale (8,000 documents,
 //!   63 seed queries → 630 generated queries, 64 peers);
-//! * `small` — integration-test scale (runs in seconds);
+//! * `small` — integration-test scale (runs in seconds; the committed
+//!   baseline's scale);
 //! * `tiny` — smoke-test scale (sub-second);
-//! * `huge` — the 100,000-peer population-scale tier (the `--bin scale`
-//!   smoke runner and the nightly CI job; needs the arena node store
-//!   and compressed postings to fit a runner).
+//! * `huge` — the 100,000-peer population-scale tier (what `benchmark/`'s
+//!   `route-huge` workload and the nightly CI job run).
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
@@ -48,10 +51,31 @@ pub fn build_world(seed: u64) -> World {
         cfg.gen.k_per_seed,
         cfg.seed,
     );
-    let t0 = std::time::Instant::now();
-    let world = World::build(cfg);
-    eprintln!("# world built in {:.1?}", t0.elapsed());
-    world
+    World::build(cfg)
+}
+
+/// `SPRITE_SCALE` for the two binaries that write and gate the committed
+/// baseline: defaulted to `small`, the scale it is generated at, rather
+/// than inheriting `full` and taking minutes on CI.
+#[must_use]
+pub fn baseline_scale() -> String {
+    if std::env::var("SPRITE_SCALE").is_err() {
+        std::env::set_var("SPRITE_SCALE", "small");
+    }
+    std::env::var("SPRITE_SCALE").unwrap_or_default()
+}
+
+/// The baseline those two binaries work on: their first argument, else
+/// `BENCH_experiments.json` at the workspace root.
+#[must_use]
+pub fn baseline_path() -> String {
+    std::env::args().nth(1).unwrap_or_else(|| {
+        // crates/bench → workspace root, two levels up.
+        format!(
+            "{}/../../BENCH_experiments.json",
+            env!("CARGO_MANIFEST_DIR")
+        )
+    })
 }
 
 /// Print a fixed-width table: a header row then data rows.

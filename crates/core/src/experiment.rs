@@ -218,9 +218,10 @@ impl World {
     /// buffers across every query it claims, and the centralized reference
     /// score comes from the build-time [`World::central`] cache instead of
     /// a per-query corpus search. Results and absorbed stats are
-    /// bit-identical to [`World::evaluate_reference`] — the determinism
-    /// audit's `query/batched` stage and the bench's `bit_identical` flag
-    /// both enforce that.
+    /// bit-identical to walking every route live and searching the
+    /// reference per query: the determinism audit's `query/batched` stage
+    /// and `traced_evaluate_is_bit_identical_to_untraced` pin the memo
+    /// half, `central_cache_is_the_prefix_of_a_live_search` the cache half.
     pub fn evaluate(&self, sys: &mut SpriteSystem, indices: &[usize], k: usize) -> RatioEval {
         sys.warm_query_terms(indices.iter().map(|&qi| &self.workload[qi].query));
         let per_query: Vec<(PrEval, PrEval, NetStats)> = {
@@ -244,45 +245,6 @@ impl World {
                     delta,
                 )
             })
-        };
-        Self::absorb_evaluation(sys, &per_query)
-    }
-
-    /// The pre-batching per-query reference for [`World::evaluate`]:
-    /// identical answers and charges, produced the way the original
-    /// pipeline produced them — one query at a time, each walking its own
-    /// keyword routes live (no [`crate::QueryView::resolve_routes`] memo),
-    /// allocating fresh ranking buffers per query, and re-searching the
-    /// centralized reference from scratch. The benchmark times this path
-    /// as the throughput baseline, and the determinism audit compares the
-    /// batched pipeline against it bit for bit.
-    pub fn evaluate_reference(
-        &self,
-        sys: &mut SpriteSystem,
-        indices: &[usize],
-        k: usize,
-    ) -> RatioEval {
-        sys.warm_query_terms(indices.iter().map(|&qi| &self.workload[qi].query));
-        let per_query: Vec<(PrEval, PrEval, NetStats)> = {
-            let view = sys.query_view();
-            let peers = view.peers();
-            indices
-                .iter()
-                .enumerate()
-                .map(|(i, &qi)| {
-                    let gq = &self.workload[qi];
-                    let from = peers[i % peers.len()];
-                    let mut delta = NetStats::new();
-                    let mut rank = RankScratch::new();
-                    let sys_hits = view.query(from, &gq.query, k, &mut delta, &mut rank);
-                    let cen_hits = self.engine.search(&gq.query, k);
-                    (
-                        evaluate_hits_at_k(&sys_hits, &gq.relevant, k),
-                        evaluate_hits_at_k(&cen_hits, &gq.relevant, k),
-                        delta,
-                    )
-                })
-                .collect()
         };
         Self::absorb_evaluation(sys, &per_query)
     }
@@ -1177,6 +1139,35 @@ mod tests {
         assert_eq!(plain.net().stats(), traced.net().stats());
         assert_eq!(rec.queries(), w.test.len() as u64);
         assert!(rec.events() > 0, "traced run must observe events");
+    }
+
+    #[test]
+    fn central_cache_is_the_prefix_of_a_live_search() {
+        // `evaluate` scores against `World::central` instead of searching
+        // the reference per query; the cached ranking must be, to the bit,
+        // what a live search returns at every depth it serves — and past
+        // that depth `central_pr` must fall back to the live search.
+        let w = tiny_world();
+        let mut scratch = SearchScratch::new();
+        for (qi, gq) in w.workload.iter().enumerate() {
+            for k in [5, 20, CENTRAL_CACHE_K] {
+                let live = w.engine.search(&gq.query, k);
+                let cached = &w.central[qi][..k.min(w.central[qi].len())];
+                assert_eq!(cached.len(), live.len(), "query {qi} at k = {k}");
+                for (c, l) in cached.iter().zip(&live) {
+                    assert_eq!((c.doc, c.score.to_bits()), (l.doc, l.score.to_bits()));
+                }
+                assert_eq!(
+                    w.central_pr(qi, k, &mut scratch),
+                    evaluate_hits_at_k(&live, &gq.relevant, k)
+                );
+            }
+            let k = CENTRAL_CACHE_K + 1;
+            assert_eq!(
+                w.central_pr(qi, k, &mut scratch),
+                evaluate_hits_at_k(&w.engine.search(&gq.query, k), &gq.relevant, k)
+            );
+        }
     }
 
     #[test]
