@@ -14,22 +14,20 @@
 //!   successor(n + 2^k)`, and the successor list is a prefix of the ring
 //!   order — the properties `stabilize`/`fix_fingers` are proven to
 //!   restore.
-//! * SPRITE §7: a key's copies live only on the owner and its
-//!   `replication − 1` successors, and the owner always holds the primary
-//!   copy.
-//! * SPRITE §3–§5: posting lists hold one entry per document in document
-//!   order, entry metadata matches the corpus, a document never publishes
-//!   more than `max_terms` global terms (and never an advisory-excluded
-//!   one), and every §4 ranking weight derived from an entry is finite and
-//!   non-negative.
+//! * SPRITE §3–§5: every posting block decodes
+//!   ([`sprite_core::PostingList::check`]: typed errors, never a panic) to
+//!   one entry per document in document order, entry metadata matches the
+//!   corpus, a document never publishes more than `max_terms` global terms
+//!   (and never an advisory-excluded one), and every §4 ranking weight
+//!   derived from an entry is finite and non-negative.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 
-use sprite_chord::{ChordNet, Dht};
+use sprite_chord::ChordNet;
 use sprite_core::SpriteSystem;
 use sprite_ir::{DocId, TermId};
-use sprite_util::{RingId, ID_BITS};
+use sprite_util::{CodecError, RingId, ID_BITS};
 
 /// One broken invariant, with enough context to locate the damage.
 #[derive(Clone, Debug, PartialEq)]
@@ -74,20 +72,6 @@ pub enum Violation {
         /// The ring-order node for that position.
         expected: RingId,
     },
-    /// A stored copy sits on a peer outside the key's replica set.
-    MisplacedKey {
-        /// The peer holding the stray copy.
-        peer: RingId,
-        /// The key.
-        key: RingId,
-    },
-    /// No copy of a stored key lives on its owner (the first replica).
-    MissingPrimaryCopy {
-        /// The key.
-        key: RingId,
-        /// The peer that should hold the primary copy.
-        owner: RingId,
-    },
     /// A posting list holds two entries for the same document.
     DuplicatePosting {
         /// The indexing peer.
@@ -97,12 +81,15 @@ pub enum Violation {
         /// The duplicated document.
         doc: DocId,
     },
-    /// A posting list is not sorted by document id.
-    UnsortedPostingList {
+    /// A posting block's bytes are not ones the write kernel could have
+    /// produced; nothing further about the list was judged.
+    MalformedPostings {
         /// The indexing peer.
         peer: RingId,
         /// The term.
         term: TermId,
+        /// Why [`sprite_core::PostingList::check`] rejected the block.
+        error: CodecError,
     },
     /// An index entry's metadata disagrees with the corpus.
     StaleEntryMetadata {
@@ -186,18 +173,12 @@ impl fmt::Display for Violation {
                 f,
                 "node {node:?}: successor list[{position}] is {found:?}, ring order says {expected:?}"
             ),
-            Violation::MisplacedKey { peer, key } => {
-                write!(f, "peer {peer:?} holds key {key:?} outside its replica set")
-            }
-            Violation::MissingPrimaryCopy { key, owner } => {
-                write!(f, "key {key:?} has no copy at its owner {owner:?}")
-            }
             Violation::DuplicatePosting { peer, term, doc } => write!(
                 f,
                 "peer {peer:?}: posting list of {term:?} lists {doc:?} twice"
             ),
-            Violation::UnsortedPostingList { peer, term } => {
-                write!(f, "peer {peer:?}: posting list of {term:?} is unsorted")
+            Violation::MalformedPostings { peer, term, error } => {
+                write!(f, "peer {peer:?}: posting block of {term:?} is malformed: {error}")
             }
             Violation::StaleEntryMetadata { peer, term, doc } => write!(
                 f,
@@ -284,69 +265,54 @@ pub fn check_ring(net: &ChordNet) -> Vec<Violation> {
     out
 }
 
-/// Check key placement in a replicated [`Dht`]: every stored copy must live
-/// inside its key's replica set (the owner plus `replication − 1`
-/// successors, §7), and the owner must hold the primary copy.
-#[must_use]
-pub fn check_kv<V: Clone>(dht: &Dht<V>) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let net = dht.net();
-    let degree = dht.replication();
-    // key → holders, in deterministic order.
-    let mut holders: BTreeMap<RingId, Vec<RingId>> = BTreeMap::new();
-    for (peer, key) in dht.copies() {
-        holders.entry(key).or_default().push(peer);
-    }
-    for (key, mut peers) in holders {
-        peers.sort_unstable();
-        let replicas = net.oracle_replicas(key, degree);
-        for &peer in &peers {
-            if !replicas.contains(&peer) {
-                out.push(Violation::MisplacedKey { peer, key });
-            }
-        }
-        if let Some(&owner) = replicas.first() {
-            if !peers.contains(&owner) {
-                out.push(Violation::MissingPrimaryCopy { key, owner });
-            }
-        }
-    }
-    out
-}
-
 /// Check the SPRITE index invariants on a (churn-free) deployment: posting
-/// lists sorted and duplicate-free with corpus-consistent metadata and
-/// finite non-negative §4 weights; every document within its global-term
-/// cap, duplicate-free, honoring advisory exclusions; and publish/index
-/// agreement in both directions.
+/// blocks well-formed (checked before anything reads them, so hostile
+/// bytes yield a violation, not a panic) and duplicate-free with
+/// corpus-consistent metadata and finite non-negative §4 weights; every
+/// document within its global-term cap, duplicate-free, honoring advisory
+/// exclusions; and publish/index agreement in both directions.
 #[must_use]
 pub fn check_index(sys: &SpriteSystem) -> Vec<Violation> {
     let mut out = Vec::new();
     let assumed_n = sys.config().assumed_n;
 
-    // Indexing-peer side, in deterministic (peer, term) order.
+    // Indexing-peer side, in deterministic (peer, term) order. A block
+    // that fails its check is reported and never read.
+    let mut malformed: HashSet<(RingId, TermId)> = HashSet::new();
     for peer in sys.indexing_peers() {
         let Some(st) = sys.indexing_state(peer) else {
             continue;
         };
-        let mut terms: Vec<TermId> = st.terms().map(|(t, _)| t).collect();
-        terms.sort_unstable();
-        for term in terms {
-            let list = st.entries(term);
-            for pair in list.windows(2) {
-                if pair[1].doc == pair[0].doc {
-                    out.push(Violation::DuplicatePosting {
+        for (term, block) in st.terms() {
+            if let Err(error) = block.check() {
+                malformed.insert((peer, term));
+                // A gap encoding can only fail to ascend by a zero gap —
+                // the same document twice — and everything up to that
+                // entry decoded.
+                let twice = match error {
+                    CodecError::NotAscending { index } => block.iter().nth(index),
+                    _ => None,
+                };
+                out.push(match twice {
+                    Some(e) => Violation::DuplicatePosting {
                         peer,
                         term,
-                        doc: pair[1].doc,
-                    });
-                } else if pair[1].doc < pair[0].doc {
-                    out.push(Violation::UnsortedPostingList { peer, term });
-                    break;
-                }
+                        doc: e.doc,
+                    },
+                    None => Violation::MalformedPostings { peer, term, error },
+                });
+                continue;
             }
-            let df = list.len();
-            for e in &list {
+            let df = block.len();
+            for e in block {
+                if e.doc.index() >= sys.corpus().len() {
+                    out.push(Violation::StaleEntryMetadata {
+                        peer,
+                        term,
+                        doc: e.doc,
+                    });
+                    continue;
+                }
                 let d = sys.corpus().doc(e.doc);
                 if e.tf != d.freq(term)
                     || e.doc_len != d.len()
@@ -406,9 +372,10 @@ pub fn check_index(sys: &SpriteSystem) -> Vec<Violation> {
             let Some(peer) = sys.net().oracle_owner(key) else {
                 continue;
             };
-            let indexed = sys
-                .indexing_state(peer)
-                .is_some_and(|st| st.postings(t).into_iter().flatten().any(|e| e.doc == doc));
+            let indexed = malformed.contains(&(peer, t))
+                || sys
+                    .indexing_state(peer)
+                    .is_some_and(|st| st.postings(t).into_iter().flatten().any(|e| e.doc == doc));
             if !indexed {
                 out.push(Violation::PublishedButUnindexed { doc, term: t, peer });
             }
@@ -418,7 +385,7 @@ pub fn check_index(sys: &SpriteSystem) -> Vec<Violation> {
 }
 
 /// Run every checker that applies to a full deployment: the ring plus the
-/// index (the KV layer is a separate substrate with its own storage).
+/// index.
 #[must_use]
 pub fn check_system(sys: &SpriteSystem) -> Vec<Violation> {
     let mut out = check_ring(sys.net());
@@ -448,17 +415,5 @@ mod tests {
     fn empty_ring_has_no_violations() {
         let net = ChordNet::new(ChordConfig::default());
         assert!(check_ring(&net).is_empty());
-    }
-
-    #[test]
-    fn healthy_kv_has_no_violations() {
-        let net = ring(16);
-        let mut d: Dht<u32> = Dht::new(net, 3);
-        let from = d.net().node_ids()[0];
-        for i in 0..20u32 {
-            d.put(from, RingId::hash_term(&format!("key-{i}")), i)
-                .expect("converged ring routes");
-        }
-        assert!(check_kv(&d).is_empty());
     }
 }

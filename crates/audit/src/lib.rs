@@ -6,12 +6,11 @@
 //! checked against the *live* state of a run, and whole experiments can be
 //! replayed bit-for-bit. This crate packages those checks:
 //!
-//! * [`invariants`] — pure checkers over a [`sprite_chord::ChordNet`], a
-//!   [`sprite_chord::Dht`], and a [`sprite_core::SpriteSystem`], returning
-//!   typed [`Violation`]s: ring symmetry and finger correctness (Chord's
-//!   §IV invariants), key placement under successor replication (§7),
-//!   posting-list shape, the per-document global-term cap, and TF·IDF
-//!   weight sanity (§4).
+//! * [`invariants`] — pure checkers over a [`sprite_chord::ChordNet`] and
+//!   a [`sprite_core::SpriteSystem`], returning typed [`Violation`]s: ring
+//!   symmetry and finger correctness (Chord's §IV invariants),
+//!   posting-block well-formedness and shape, the per-document global-term
+//!   cap, and TF·IDF weight sanity (§4).
 //! * [`determinism`] — runs a small end-to-end experiment twice from the
 //!   same seed and fingerprints every stage (ring state, index contents,
 //!   ranked results) with MD5, reporting the first stage that diverges.
@@ -41,4 +40,4 @@ pub use determinism::{
     parallel_results_fingerprint, run_trace, traced_parallel_fingerprints, DeterminismReport,
     LifecycleAudit, SimAudit, Trace,
 };
-pub use invariants::{check_index, check_kv, check_ring, check_system, Violation};
+pub use invariants::{check_index, check_ring, check_system, Violation};

@@ -1,21 +1,25 @@
 //! Corruption-injection tests: deliberately break each invariant class the
 //! checkers cover and assert the damage is detected — and that the healthy
-//! state is reported clean. The injection points (`node_mut`, `inject_copy`,
+//! state is reported clean. The injection points (`node_mut`,
 //! `inject_published`, `inject_raw`) exist for exactly this purpose; the
 //! simulation itself never calls them.
 //!
-//! The final section hardens the wire codec the byte accounting is built
-//! on: truncated, bit-flipped, and non-canonical inputs must all decode to
-//! a typed [`sprite_util::CodecError`] — never a panic, never a hang,
-//! never an unbounded allocation.
+//! The last two sections harden the byte formats: posting blocks and the
+//! wire codec the byte accounting is built on. Truncated, bit-flipped,
+//! non-canonical and random inputs must all come back as a typed
+//! [`sprite_util::CodecError`] or a [`Violation`] — never a panic, never a
+//! hang, never an unbounded allocation.
 
-use sprite_audit::{check_index, check_kv, check_ring, check_system, Violation};
-use sprite_chord::{ChordConfig, ChordNet, Dht};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use sprite_audit::{check_index, check_ring, check_system, Violation};
+use sprite_chord::{ChordConfig, ChordNet};
 use sprite_core::{IndexEntry, SpriteConfig, SpriteSystem};
 use sprite_corpus::{CorpusConfig, SyntheticCorpus};
-use sprite_ir::TermId;
+use sprite_ir::{DocId, TermId};
 use sprite_util::{
-    decode_gap_list, decode_varint, derive_rng, encode_gap_list, encode_varint, CodecError, RingId,
+    decode_gap_list, decode_varint, derive_rng, encode_gap_list, encode_varint, varint_len,
+    CodecError, RingId,
 };
 
 fn ring(n: usize) -> ChordNet {
@@ -26,8 +30,12 @@ fn ring(n: usize) -> ChordNet {
 
 /// A small published deployment shared by the index-corruption tests.
 fn deployment() -> SpriteSystem {
-    let sc = SyntheticCorpus::generate(&CorpusConfig::tiny(7));
-    let mut sys = SpriteSystem::build(sc.corpus().clone(), 16, SpriteConfig::default(), 7);
+    deployment_of(CorpusConfig::tiny(7), 16)
+}
+
+fn deployment_of(corpus: CorpusConfig, peers: usize) -> SpriteSystem {
+    let sc = SyntheticCorpus::generate(&corpus);
+    let mut sys = SpriteSystem::build(sc.corpus().clone(), peers, SpriteConfig::default(), 7);
     sys.publish_all();
     assert_eq!(check_system(&sys), Vec::new(), "test precondition: healthy");
     sys
@@ -44,6 +52,32 @@ fn populated_list(sys: &SpriteSystem, min_len: usize) -> (RingId, TermId, Vec<In
         }
     }
     panic!("no posting list with >= {min_len} entries in the tiny deployment");
+}
+
+/// The posting-block encoding (gap-varint document id, raw owner address,
+/// varint tf / doc-length / distinct-count) without the write kernel's
+/// preconditions, so a test can spell a block the kernel never would: a
+/// repeated document, metadata the corpus disagrees with. `entries` must
+/// not descend.
+fn encode_block(entries: &[IndexEntry]) -> Vec<u8> {
+    let mut out = Vec::new();
+    let mut prev = 0;
+    for e in entries {
+        encode_varint(u64::from(e.doc.0 - prev), &mut out);
+        prev = e.doc.0;
+        out.extend_from_slice(&e.owner.0.to_be_bytes());
+        for field in [e.tf, e.doc_len, e.distinct] {
+            encode_varint(u64::from(field), &mut out);
+        }
+    }
+    out
+}
+
+/// Replace the list of `(peer, term)` with the block `entries` encode to.
+fn inject(sys: &mut SpriteSystem, peer: RingId, term: TermId, entries: &[IndexEntry]) {
+    sys.indexing_state_mut(peer)
+        .expect("peer indexes")
+        .inject_raw(term, encode_block(entries), entries.len() as u32);
 }
 
 #[test]
@@ -122,51 +156,6 @@ fn corrupt_predecessor_is_detected() {
 }
 
 #[test]
-fn misplaced_kv_key_is_detected() {
-    let mut dht: Dht<u32> = Dht::new(ring(16), 3);
-    let from = dht.net().node_ids()[0];
-    let key = RingId::hash_term("misplaced-key");
-    dht.put(from, key, 1).expect("converged ring routes");
-    assert!(check_kv(&dht).is_empty(), "test precondition: healthy KV");
-
-    // Plant a stray copy on a peer outside the key's replica set.
-    let replicas = dht.net().oracle_replicas(key, 3);
-    let outsider = dht
-        .net()
-        .node_ids()
-        .into_iter()
-        .find(|id| !replicas.contains(id))
-        .expect("16 nodes, 3 replicas: an outsider exists");
-    dht.inject_copy(outsider, key, 2);
-    let found = check_kv(&dht);
-    assert_eq!(
-        found,
-        vec![Violation::MisplacedKey {
-            peer: outsider,
-            key
-        }]
-    );
-}
-
-#[test]
-fn missing_primary_copy_is_detected() {
-    let mut dht: Dht<u32> = Dht::new(ring(16), 3);
-    let key = RingId::hash_term("orphan-key");
-    let replicas = dht.net().oracle_replicas(key, 3);
-    // A copy on a secondary replica only: placement is legal, but the owner
-    // never stored the primary copy.
-    dht.inject_copy(replicas[1], key, 1);
-    let found = check_kv(&dht);
-    assert_eq!(
-        found,
-        vec![Violation::MissingPrimaryCopy {
-            key,
-            owner: replicas[0]
-        }]
-    );
-}
-
-#[test]
 fn over_published_terms_are_detected() {
     let mut sys = deployment();
     let doc = sprite_ir::DocId(0);
@@ -213,18 +202,25 @@ fn duplicate_published_term_is_detected() {
 }
 
 #[test]
-fn unsorted_posting_list_is_detected() {
+fn malformed_block_is_detected() {
     let mut sys = deployment();
-    let (peer, term, mut list) = populated_list(&sys, 2);
-    // Reverse a real list: same valid entries, wrong document order.
-    list.reverse();
+    let (peer, term, list) = populated_list(&sys, 2);
+    // A real block that lost its last byte: nothing after that is trusted,
+    // so the one finding is the block itself — for that peer and term only.
+    let mut bytes = encode_block(&list);
+    bytes.pop();
     sys.indexing_state_mut(peer)
         .expect("peer indexes")
-        .inject_raw(term, list);
-    let found = check_index(&sys);
-    assert!(
-        found.contains(&Violation::UnsortedPostingList { peer, term }),
-        "expected UnsortedPostingList, got {found:?}"
+        .inject_raw(term, bytes.clone(), list.len() as u32);
+    assert_eq!(
+        check_index(&sys),
+        vec![Violation::MalformedPostings {
+            peer,
+            term,
+            error: CodecError::Truncated {
+                offset: bytes.len()
+            }
+        }]
     );
 }
 
@@ -233,11 +229,10 @@ fn duplicate_posting_is_detected() {
     let mut sys = deployment();
     let (peer, term, mut list) = populated_list(&sys, 1);
     let doc = list[0].doc;
+    // The same document twice: a zero gap, which no publish can encode.
     let dup = list[0];
     list.insert(1, dup);
-    sys.indexing_state_mut(peer)
-        .expect("peer indexes")
-        .inject_raw(term, list);
+    inject(&mut sys, peer, term, &list);
     let found = check_index(&sys);
     assert!(
         found.contains(&Violation::DuplicatePosting { peer, term, doc }),
@@ -252,9 +247,7 @@ fn stale_entry_metadata_is_detected() {
     let doc = list[0].doc;
     // Corrupt the replicated term frequency: the corpus disagrees now.
     list[0].tf += 1;
-    sys.indexing_state_mut(peer)
-        .expect("peer indexes")
-        .inject_raw(term, list);
+    inject(&mut sys, peer, term, &list);
     let found = check_index(&sys);
     assert!(
         found.contains(&Violation::StaleEntryMetadata { peer, term, doc }),
@@ -269,9 +262,7 @@ fn bad_weight_is_detected() {
     let doc = list[0].doc;
     // A zero document length makes the §4 weight tf/|D| · ln(N/n′) infinite.
     list[0].doc_len = 0;
-    sys.indexing_state_mut(peer)
-        .expect("peer indexes")
-        .inject_raw(term, list);
+    inject(&mut sys, peer, term, &list);
     let found = check_index(&sys);
     assert!(
         found.iter().any(
@@ -285,15 +276,19 @@ fn bad_weight_is_detected() {
 #[test]
 fn indexed_but_unpublished_is_detected() {
     let mut sys = deployment();
-    let (_, _, donor) = populated_list(&sys, 1);
-    let doc = donor[0].doc;
-    // Retract the document's publications; its index entries are now orphans.
-    sys.inject_published(doc, Vec::new());
+    let (peer, term, mut list) = populated_list(&sys, 1);
+    // Append an entry for a document that never published the term.
+    let doc = (0..sys.corpus().len() as u32)
+        .rev()
+        .map(DocId)
+        .find(|&d| !sys.published_terms(d).contains(&term))
+        .expect("no term is published by every document");
+    assert!(doc > list[list.len() - 1].doc, "the entry appends");
+    list.push(IndexEntry { doc, ..list[0] });
+    inject(&mut sys, peer, term, &list);
     let found = check_index(&sys);
     assert!(
-        found
-            .iter()
-            .any(|v| matches!(v, Violation::IndexedButUnpublished { doc: d, .. } if *d == doc)),
+        found.contains(&Violation::IndexedButUnpublished { peer, term, doc }),
         "expected IndexedButUnpublished, got {found:?}"
     );
 }
@@ -302,6 +297,111 @@ fn indexed_but_unpublished_is_detected() {
 fn determinism_audit_passes_on_the_real_system() {
     let report = sprite_audit::audit_determinism(41);
     assert!(report.passed, "diverged at {:?}", report.first_divergence);
+}
+
+// ---------------------------------------------------------------------
+// Posting-block corruption injection.
+// ---------------------------------------------------------------------
+
+/// Inject `bytes` as a block of `count` entries at `(peer, term)` and run
+/// the whole audit over it, catching panics. Returns what the block's own
+/// `check` said; whatever it said, `check_system` must have come back —
+/// and must have named the block when `check` refused it.
+fn audit_block(
+    sys: &mut SpriteSystem,
+    peer: RingId,
+    term: TermId,
+    bytes: Vec<u8>,
+    count: u32,
+    case: &str,
+) -> Result<(), CodecError> {
+    sys.indexing_state_mut(peer)
+        .expect("peer indexes")
+        .inject_raw(term, bytes, count);
+    let audited = catch_unwind(AssertUnwindSafe(|| {
+        let block = sys.indexing_state(peer).and_then(|st| st.postings(term));
+        (block.map_or(Ok(()), |b| b.check()), check_system(sys))
+    }));
+    let Ok((checked, found)) = audited else {
+        panic!("{case}: the audit panicked on a corrupt block");
+    };
+    if checked.is_err() {
+        assert!(
+            found.iter().any(|v| matches!(v,
+                Violation::MalformedPostings { peer: p, term: t, .. }
+                | Violation::DuplicatePosting { peer: p, term: t, .. }
+                    if *p == peer && *t == term)),
+            "{case}: check() refused the block but check_system did not name it"
+        );
+    }
+    checked
+}
+
+#[test]
+fn fuzzed_posting_blocks_yield_typed_errors_never_panics() {
+    // A few thousand whole-deployment audits: keep the deployment small.
+    let few_docs = CorpusConfig {
+        n_docs: 24,
+        ..CorpusConfig::tiny(7)
+    };
+    let mut sys = deployment_of(few_docs, 8);
+    let (peer, term, list) = populated_list(&sys, 3);
+    let st = sys.indexing_state(peer).expect("peer indexes");
+    let block = st.postings(term).expect("listed").packed_bytes().to_vec();
+    assert_eq!(encode_block(&list), block, "the test encoder is the codec");
+    let count = list.len() as u32;
+
+    // Every proper prefix: the count promises more than the bytes hold.
+    for cut in 0..block.len() {
+        let case = format!("prefix {cut}");
+        let checked = audit_block(&mut sys, peer, term, block[..cut].to_vec(), count, &case);
+        assert!(
+            matches!(checked, Err(CodecError::Truncated { .. })),
+            "{case}: {checked:?}"
+        );
+    }
+    // Every single-bit flip: refused, or a list `check_index` then judges.
+    for bit in 0..block.len() * 8 {
+        let mut flipped = block.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        let _ = audit_block(&mut sys, peer, term, flipped, count, &format!("bit {bit}"));
+    }
+    // Seeded garbage, with counts from plausible to absurd.
+    let mut rng = derive_rng(0xBAD_C0DE, "posting-garbage");
+    for i in 0..1000 {
+        let len = rng.gen_range(0..96);
+        let bytes: Vec<u8> = (0..len).map(|_| rng.gen_u32() as u8).collect();
+        let count = rng.gen_u32() >> rng.gen_range(0..32);
+        let _ = audit_block(&mut sys, peer, term, bytes, count, &format!("garbage {i}"));
+    }
+    // A padded first varint decodes to the same document id but would let
+    // equal lists bill different byte sizes.
+    let first = varint_len(u64::from(list[0].doc.0));
+    let mut padded = block.clone();
+    padded[first - 1] |= 0x80;
+    padded.insert(first, 0x00);
+    assert!(matches!(
+        audit_block(&mut sys, peer, term, padded, count, "padded varint"),
+        Err(CodecError::NonCanonical { .. })
+    ));
+    // An absurd count fails at the end of the bytes, not after 2^32 steps.
+    assert!(matches!(
+        audit_block(
+            &mut sys,
+            peer,
+            term,
+            block.clone(),
+            u32::MAX,
+            "absurd count"
+        ),
+        Err(CodecError::Truncated { .. })
+    ));
+    // And the intact block still passes.
+    assert_eq!(
+        audit_block(&mut sys, peer, term, block, count, "intact"),
+        Ok(())
+    );
+    assert_eq!(check_system(&sys), Vec::new());
 }
 
 // ---------------------------------------------------------------------

@@ -10,8 +10,6 @@
 //!   fingers);
 //! * [`stats`] — message counters classified by purpose, feeding the cost
 //!   studies;
-//! * [`kv`] — a replicated key-value layer demonstrating §7's
-//!   successor-replication scheme;
 //! * [`trace`] — the deterministic observability layer: zero-cost-when-
 //!   disabled trace sinks, structured events, and mergeable cost recorders;
 //! * [`sim`] — pluggable network models (latency/jitter, link asymmetry,
@@ -24,7 +22,6 @@
 #![warn(clippy::all)]
 
 pub mod churn;
-pub mod kv;
 pub mod node;
 pub mod ring;
 pub mod sim;
@@ -33,7 +30,6 @@ mod store;
 pub mod trace;
 
 pub use churn::{ChurnConfig, ChurnEngine, ChurnEvent, TickReport};
-pub use kv::Dht;
 pub use node::NodeState;
 pub use ring::{ChordConfig, ChordError, ChordNet, Lookup, LookupLite, RouteMemo};
 pub use sim::{Delivery, LinkModel, NetworkModel, PerfectNetwork, SimConfig};

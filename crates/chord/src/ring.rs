@@ -24,7 +24,7 @@ use crate::node::NodeState;
 use crate::sim::{self, SimConfig};
 use crate::stats::{MsgKind, NetStats};
 use crate::store::NodeStore;
-use crate::trace::{self, Event, Phase, TraceSink};
+use crate::trace::{self, Event, NullTrace, Phase, TraceSink};
 
 /// Simulator configuration.
 #[derive(Clone, Debug)]
@@ -173,7 +173,8 @@ impl RouteMemo {
         let mut routes = HashMap::with_capacity(pairs.len());
         for &(from, key) in pairs {
             routes.entry((from.0, key.0)).or_insert_with(|| {
-                let (outcome, hops, failed, lost) = net.walk(from, key, None);
+                let (outcome, hops, failed, lost) =
+                    net.walk(from, key, Phase::Lookup, 0, &mut NullTrace, None);
                 MemoRoute {
                     outcome,
                     hops,
@@ -566,12 +567,9 @@ impl ChordNet {
     /// [`Self::lookup`] without the visited-path allocation. Identical
     /// routing decisions and identical stats charging — only the `path`
     /// bookkeeping is skipped. The retrieval hot paths (publish, query,
-    /// learning) use this; audit and diagnostic callers keep `lookup`.
+    /// learning) use the traced spelling; this is its [`NullTrace`] instance.
     pub fn lookup_fast(&mut self, from: RingId, key: RingId) -> Result<LookupLite, ChordError> {
-        let (result, hops, failed, lost) = self.walk(from, key, None);
-        self.stats
-            .charge_route(MsgKind::LookupHop, hops, failed, lost, result.is_ok());
-        result
+        self.lookup_fast_traced(from, key, Phase::Lookup, 0, &mut NullTrace)
     }
 
     /// Read-only lookup for the parallel query engine: routes exactly like
@@ -585,9 +583,7 @@ impl ChordNet {
         key: RingId,
         stats: &mut NetStats,
     ) -> Result<LookupLite, ChordError> {
-        let (result, hops, failed, lost) = self.walk(from, key, None);
-        stats.charge_route(MsgKind::LookupHop, hops, failed, lost, result.is_ok());
-        result
+        self.probe_traced(from, key, stats, Phase::Lookup, 0, &mut NullTrace, None)
     }
 
     /// [`Self::probe`] through a [`RouteMemo`]: a memoized `(from, key)`
@@ -623,19 +619,7 @@ impl ChordNet {
         self.stats.merge(delta);
     }
 
-    /// Resolve the §7 replica set of a key **by routing**, not the oracle:
-    /// starting from the already-routed `owner`, walk successor lists
-    /// (node-local state only) and collect the first `n` distinct alive
-    /// peers clockwise, owner first. Each alive peer contacted beyond the
-    /// owner costs one [`MsgKind::Maintenance`] message (the probe that
-    /// confirms it and fetches its successor list); each dead successor
-    /// entry probed costs one [`MsgKind::Timeout`]. Charges go to a
-    /// caller-owned delta so the read-only query path can resolve replicas
-    /// concurrently and merge later via [`Self::absorb_stats`].
-    ///
-    /// On a converged ring this returns exactly [`Self::oracle_replicas`]
-    /// of the owner's key; mid-churn it returns whatever the successor
-    /// chain can actually reach, which may be shorter than `n`.
+    /// [`Self::replicas_from_owner_traced`] with tracing off.
     #[must_use]
     pub fn replicas_from_owner(
         &self,
@@ -643,53 +627,18 @@ impl ChordNet {
         n: usize,
         stats: &mut NetStats,
     ) -> Vec<RingId> {
-        let mut out = Vec::with_capacity(n.min(self.nodes.len()));
-        if n == 0 || !self.contains(owner) {
-            return out;
-        }
-        out.push(owner);
-        let mut cur = owner;
-        while out.len() < n.min(self.nodes.len()) {
-            let node = self.nodes.alive(cur.0);
-            let mut next = None;
-            for &s in node.successor_list() {
-                if s == cur {
-                    continue; // a lone node (or tiny ring) listing itself
-                }
-                if !self.nodes.contains(s.0) {
-                    stats.record(MsgKind::Timeout);
-                    continue;
-                }
-                if !out.contains(&s) {
-                    next = Some(s);
-                    break;
-                }
-                // Already collected (wrap-around on a small ring): keep
-                // scanning this list for a fresh peer, free of charge.
-            }
-            let Some(next) = next else {
-                break; // chain exhausted; degrade to the replicas we have
-            };
-            stats.record(MsgKind::Maintenance);
-            out.push(next);
-            cur = next;
-        }
-        out
+        self.replicas_from_owner_traced(owner, n, stats, Phase::Lookup, 0, &mut NullTrace)
     }
 
-    // ------------------------------------------------------------------
-    // Traced routing (observability layer)
-    // ------------------------------------------------------------------
-
     /// [`Self::probe`] that additionally emits the walk's events into
-    /// `sink`: one [`MsgKind::LookupHop`] per node contacted, the dead
-    /// probes and in-flight drops (attributed to the origin — the dead
-    /// targets are no longer addressable peers), and the hop-histogram
-    /// entry of a completed lookup. A failed walk emits what it billed
-    /// before giving up, so recorder totals equal the `NetStats` bill on
-    /// any ring. `route`, when given, receives the origin plus every node
-    /// contacted. With [`NullTrace`](crate::trace::NullTrace) and no
-    /// `route` this *is* `probe` — the path bookkeeping compiles out.
+    /// `sink`, as the walk makes them: one [`MsgKind::LookupHop`] per node
+    /// contacted, then the dead probes and in-flight drops (attributed to
+    /// the origin — the dead targets are no longer addressable peers) and
+    /// the hop-histogram entry of a completed lookup. A failed walk emits
+    /// what it billed before giving up, so recorder totals equal the
+    /// `NetStats` bill on any ring. `route`, when given, receives the
+    /// origin plus every node contacted. With [`NullTrace`] the event
+    /// branches compile out: [`Self::probe`] is exactly this call.
     #[allow(clippy::too_many_arguments)]
     pub fn probe_traced<T: TraceSink>(
         &self,
@@ -701,15 +650,13 @@ impl ChordNet {
         sink: &mut T,
         route: Option<&mut Vec<RingId>>,
     ) -> Result<LookupLite, ChordError> {
-        let (result, hops, failed, lost) = self.walk_traced(from, key, phase, tick, sink, route);
+        let (result, hops, failed, lost) = self.walk(from, key, phase, tick, sink, route);
         stats.charge_route(MsgKind::LookupHop, hops, failed, lost, result.is_ok());
         result
     }
 
-    /// [`Self::lookup_fast`] that additionally emits the walk's events
-    /// into `sink` (see [`Self::probe_traced`] — same walk, charged to the
-    /// network's own counters). Charging is bit-identical to the untraced
-    /// call.
+    /// [`Self::probe_traced`] charged to the network's own counters — the
+    /// spelling of the mutating publish and learning paths.
     pub fn lookup_fast_traced<T: TraceSink>(
         &mut self,
         from: RingId,
@@ -718,46 +665,10 @@ impl ChordNet {
         tick: u64,
         sink: &mut T,
     ) -> Result<LookupLite, ChordError> {
-        let (result, hops, failed, lost) = self.walk_traced(from, key, phase, tick, sink, None);
+        let (result, hops, failed, lost) = self.walk(from, key, phase, tick, sink, None);
         self.stats
             .charge_route(MsgKind::LookupHop, hops, failed, lost, result.is_ok());
         result
-    }
-
-    /// [`Self::walk`] plus its trace events; the caller charges the tally.
-    fn walk_traced<T: TraceSink>(
-        &self,
-        from: RingId,
-        key: RingId,
-        phase: Phase,
-        tick: u64,
-        sink: &mut T,
-        route: Option<&mut Vec<RingId>>,
-    ) -> (Result<LookupLite, ChordError>, u32, u64, u64) {
-        if !T::ENABLED {
-            return self.walk(from, key, route);
-        }
-        let mut own = Vec::new();
-        let path = route.unwrap_or(&mut own);
-        let walked = self.walk(from, key, Some(path));
-        let (ref result, hops, failed, lost) = walked;
-        let event = |peer, kind| Event {
-            tick,
-            peer,
-            kind,
-            phase,
-        };
-        // `path` holds the origin plus every intermediate node contacted:
-        // exactly `hops` hop messages target `path[1..]`.
-        for &peer in path.iter().skip(1) {
-            sink.emit(event(peer, MsgKind::LookupHop));
-        }
-        sink.emit_n(event(from, MsgKind::Failed), failed);
-        sink.emit_n(event(from, MsgKind::Timeout), lost);
-        if result.is_ok() {
-            sink.lookup_done(hops);
-        }
-        walked
     }
 
     /// [`Self::charge`] that also emits the matching trace event. Query-path
@@ -796,9 +707,20 @@ impl ChordNet {
         trace::charge_bytes(&mut self.stats, sink, kind, bytes);
     }
 
-    /// [`Self::replicas_from_owner`] that additionally emits one event per
-    /// successor-chain probe (and per dead-entry timeout) into `sink`.
-    /// Charging into `stats` is bit-identical to the untraced call.
+    /// Resolve the §7 replica set of a key **by routing**, not the oracle:
+    /// starting from the already-routed `owner`, walk successor lists
+    /// (node-local state only) and collect the first `n` distinct alive
+    /// peers clockwise, owner first. Each alive peer contacted beyond the
+    /// owner costs one [`MsgKind::Maintenance`] message (the probe that
+    /// confirms it and fetches its successor list); each dead successor
+    /// entry probed costs one [`MsgKind::Timeout`], attributed to the
+    /// owner. Every charge goes to the caller-owned `stats` delta and, as
+    /// the same step, into `sink`, so the read-only query path can resolve
+    /// replicas concurrently and merge later via [`Self::absorb_stats`].
+    ///
+    /// On a converged ring this returns exactly [`Self::oracle_replicas`]
+    /// of the owner's key; mid-churn it returns whatever the successor
+    /// chain can actually reach, which may be shorter than `n`.
     #[must_use]
     pub fn replicas_from_owner_traced<T: TraceSink>(
         &self,
@@ -809,40 +731,47 @@ impl ChordNet {
         tick: u64,
         sink: &mut T,
     ) -> Vec<RingId> {
-        if !T::ENABLED {
-            return self.replicas_from_owner(owner, n, stats);
+        let mut out = Vec::with_capacity(n.min(self.nodes.len()));
+        if n == 0 || !self.contains(owner) {
+            return out;
         }
-        let timeouts_before = stats.count(MsgKind::Timeout);
-        let out = self.replicas_from_owner(owner, n, stats);
-        for &peer in out.iter().skip(1) {
-            sink.emit(Event {
-                tick,
-                peer,
-                kind: MsgKind::Maintenance,
-                phase,
-            });
-        }
-        let timeouts = stats.count(MsgKind::Timeout) - timeouts_before;
-        if timeouts > 0 {
-            sink.emit_n(
-                Event {
-                    tick,
-                    peer: owner,
-                    kind: MsgKind::Timeout,
-                    phase,
-                },
-                timeouts,
-            );
+        out.push(owner);
+        let mut cur = owner;
+        while out.len() < n.min(self.nodes.len()) {
+            let node = self.nodes.alive(cur.0);
+            let mut next = None;
+            for &s in node.successor_list() {
+                if s == cur {
+                    continue; // a lone node (or tiny ring) listing itself
+                }
+                if !self.nodes.contains(s.0) {
+                    trace::charge(stats, sink, tick, owner, MsgKind::Timeout, phase);
+                    continue;
+                }
+                if !out.contains(&s) {
+                    next = Some(s);
+                    break;
+                }
+                // Already collected (wrap-around on a small ring): keep
+                // scanning this list for a fresh peer, free of charge.
+            }
+            let Some(next) = next else {
+                break; // chain exhausted; degrade to the replicas we have
+            };
+            trace::charge(stats, sink, tick, next, MsgKind::Maintenance, phase);
+            out.push(next);
+            cur = next;
         }
         out
     }
 
-    /// Routing engine shared by lookups and maintenance probes; `kind`
+    /// Routing engine of [`Self::lookup`] and the maintenance probes; `kind`
     /// selects the message class charged per step. Hop statistics are only
     /// recorded for application lookups ([`MsgKind::LookupHop`]).
     fn route(&mut self, from: RingId, key: RingId, kind: MsgKind) -> Result<Lookup, ChordError> {
         let mut path = Vec::new();
-        let (result, hops, failed, lost) = self.walk(from, key, Some(&mut path));
+        let (result, hops, failed, lost) =
+            self.walk(from, key, Phase::Lookup, 0, &mut NullTrace, Some(&mut path));
         self.stats
             .charge_route(kind, hops, failed, lost, result.is_ok());
         result.map(|lite| Lookup {
@@ -852,19 +781,29 @@ impl ChordNet {
         })
     }
 
-    /// The routing walk itself, shared by every lookup flavor: immutable
-    /// over the network, optional path recording, returns the outcome plus
-    /// the (hops, failed-probe) tally for the caller to charge. Keeping this
-    /// `&self` is what lets [`Self::probe`] serve concurrent readers.
-    fn walk(
+    /// The one routing walk behind every lookup flavor: immutable over the
+    /// network (which is what lets [`Self::probe`] serve concurrent
+    /// readers), optional path recording, trace events emitted as it goes
+    /// (see [`Self::probe_traced`]). Returns the outcome plus the (hops,
+    /// failed-probe, dropped-transmission) tally for the caller to charge.
+    fn walk<T: TraceSink>(
         &self,
         from: RingId,
         key: RingId,
+        phase: Phase,
+        tick: u64,
+        sink: &mut T,
         mut path: Option<&mut Vec<RingId>>,
     ) -> (Result<LookupLite, ChordError>, u32, u64, u64) {
         if !self.contains(from) {
             return (Err(ChordError::UnknownNode(from)), 0, 0, 0);
         }
+        let event = |peer, kind| Event {
+            tick,
+            peer,
+            kind,
+            phase,
+        };
         let mut cur = from;
         let mut hops: u32 = 0;
         let mut failed: u64 = 0;
@@ -872,7 +811,7 @@ impl ChordNet {
         if let Some(p) = path.as_deref_mut() {
             p.push(from);
         }
-        loop {
+        let result = loop {
             let node = self.nodes.alive(cur.0);
             // The node's first usable successor (probing a dead entry costs
             // a timeout message).
@@ -885,18 +824,13 @@ impl ChordNet {
                 failed += 1;
             }
             let Some(succ) = succ else {
-                return (
-                    Err(ChordError::DeadEnd {
-                        at: cur,
-                        failed_probes: failed,
-                    }),
-                    hops,
-                    failed,
-                    lost,
-                );
+                break Err(ChordError::DeadEnd {
+                    at: cur,
+                    failed_probes: failed,
+                });
             };
             if key.in_open_closed(cur, succ) {
-                return (Ok(LookupLite { owner: succ, hops }), hops, failed, lost);
+                break Ok(LookupLite { owner: succ, hops });
             }
             let nodes = &self.nodes;
             let next = node
@@ -909,15 +843,10 @@ impl ChordNet {
                 })
                 .unwrap_or(succ);
             if next == cur {
-                return (
-                    Err(ChordError::DeadEnd {
-                        at: cur,
-                        failed_probes: failed,
-                    }),
-                    hops,
-                    failed,
-                    lost,
-                );
+                break Err(ChordError::DeadEnd {
+                    at: cur,
+                    failed_probes: failed,
+                });
             }
             // The hop message `cur → next` transits the network model:
             // every dropped transmission is one real in-flight timeout,
@@ -930,33 +859,34 @@ impl ChordNet {
                     Ok((_arrival, drops)) => lost += drops,
                     Err(drops) => {
                         lost += drops;
-                        return (
-                            Err(ChordError::Lost {
-                                at: cur,
-                                to: next,
-                                dropped: lost,
-                            }),
-                            hops,
-                            failed,
-                            lost,
-                        );
+                        break Err(ChordError::Lost {
+                            at: cur,
+                            to: next,
+                            dropped: lost,
+                        });
                     }
                 }
             }
             cur = next;
             hops += 1;
+            if T::ENABLED {
+                sink.emit(event(cur, MsgKind::LookupHop));
+            }
             if let Some(p) = path.as_deref_mut() {
                 p.push(cur);
             }
             if hops > self.cfg.max_lookup_hops {
-                return (
-                    Err(ChordError::TooManyHops { from, key }),
-                    hops,
-                    failed,
-                    lost,
-                );
+                break Err(ChordError::TooManyHops { from, key });
+            }
+        };
+        if T::ENABLED {
+            sink.emit_n(event(from, MsgKind::Failed), failed);
+            sink.emit_n(event(from, MsgKind::Timeout), lost);
+            if result.is_ok() {
+                sink.lookup_done(hops);
             }
         }
+        (result, hops, failed, lost)
     }
 
     // ------------------------------------------------------------------
@@ -1329,39 +1259,6 @@ mod tests {
     }
 
     #[test]
-    fn lossy_probe_and_memo_replay_match_the_mutating_walk() {
-        let mut net = ring_of(64);
-        net.set_sim(SimConfig {
-            seed: 11,
-            loss: 0.08,
-            ..SimConfig::default()
-        });
-        let ids = net.node_ids();
-        let pairs: Vec<(RingId, RingId)> = (0..150)
-            .map(|i| {
-                (
-                    ids[i % ids.len()],
-                    RingId::hash_bytes(format!("memo-{i}").as_bytes()),
-                )
-            })
-            .collect();
-        let memo = RouteMemo::build(&net, &pairs);
-        for &(from, key) in &pairs {
-            net.reset_stats();
-            let live = net.lookup_fast(from, key);
-            let live_stats = net.stats().clone();
-            let mut probe_stats = NetStats::new();
-            let probed = net.probe(from, key, &mut probe_stats);
-            let mut memo_stats = NetStats::new();
-            let replayed = net.probe_via(&memo, from, key, &mut memo_stats);
-            assert_eq!(live, probed, "pure link sampling: probe == lookup_fast");
-            assert_eq!(live, replayed, "memo replay must reproduce the walk");
-            assert_eq!(live_stats, probe_stats, "charges must match");
-            assert_eq!(live_stats, memo_stats, "memo charges must match");
-        }
-    }
-
-    #[test]
     fn total_loss_surfaces_as_lost_with_exhausted_retries() {
         let mut net = ring_of(32);
         net.set_sim(SimConfig {
@@ -1535,46 +1432,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_and_probe_lookups_match_full_lookup() {
-        // Same owners, same hops, same charged stats — on a healthy ring and
-        // on a damaged one (dead successors make `failed` counting matter).
-        for kill in [0usize, 5] {
-            let mut reference = ring_of(64);
-            let ids = reference.node_ids();
-            for &v in ids.iter().skip(1).take(kill) {
-                reference.fail(v).unwrap();
-            }
-            let mut fast = reference.clone();
-            let frozen = reference.clone();
-            let mut delta = NetStats::new();
-            reference.reset_stats();
-            fast.reset_stats();
-            let alive = reference.node_ids();
-            for i in 0..200 {
-                let from = alive[i % alive.len()];
-                let key = RingId::hash_bytes(format!("variant-{i}").as_bytes());
-                let full = reference.lookup(from, key);
-                let lite = fast.lookup_fast(from, key);
-                let probed = frozen.probe(from, key, &mut delta);
-                match (full, lite, probed) {
-                    (Ok(f), Ok(l), Ok(p)) => {
-                        assert_eq!((f.owner, f.hops), (l.owner, l.hops));
-                        assert_eq!(l, p);
-                        assert_eq!(f.path.len() as u32, f.hops + 1);
-                    }
-                    (Err(ef), Err(el), Err(ep)) => {
-                        assert_eq!(ef, el);
-                        assert_eq!(el, ep);
-                    }
-                    other => panic!("variants disagree on outcome: {other:?}"),
-                }
-            }
-            assert_eq!(reference.stats(), fast.stats(), "kill={kill}");
-            assert_eq!(reference.stats(), &delta, "kill={kill}");
-        }
-    }
-
-    #[test]
     fn absorb_stats_merges_probe_deltas() {
         let mut net = ring_of(16);
         net.reset_stats();
@@ -1627,6 +1484,113 @@ mod tests {
             delta.count(MsgKind::Timeout) >= 1,
             "the dead successor entry must be charged as a timeout"
         );
+    }
+
+    #[test]
+    fn traced_walks_emit_exactly_what_they_bill() {
+        // Dead successor entries and a lossy network at once, so walks
+        // complete, get `Lost` and probe dead peers in one run. Every
+        // flavor of the one walk — traced, `NullTrace` wrapper, full-path
+        // `lookup`, memo replay — must return and bill the same, and a
+        // recorder must count, kind by kind, that same bill.
+        use crate::trace::TraceRecorder;
+        let agree = |rec: &TraceRecorder, bill: &NetStats| {
+            for kind in MsgKind::all() {
+                assert_eq!(rec.kind_count(kind), bill.count(kind), "{kind:?}");
+            }
+            assert_eq!(rec.hops_per_lookup().count(), bill.lookups());
+        };
+        let mut net = ring_of(64);
+        for v in net.node_ids().into_iter().step_by(7).take(6) {
+            net.fail(v).expect("alive node");
+        }
+        net.set_sim(SimConfig {
+            seed: 5,
+            loss: 0.3,
+            max_retries: 1,
+            ..SimConfig::default()
+        });
+        let ids = net.node_ids();
+        let pairs: Vec<(RingId, RingId)> = (0..200)
+            .map(|i| {
+                let key = RingId::hash_bytes(format!("traced-{i}").as_bytes());
+                (ids[i % ids.len()], key)
+            })
+            .collect();
+        let memo = RouteMemo::build(&net, &pairs);
+        let (mut lost_walks, mut dead_probes, mut chain_timeouts) = (0, 0, 0);
+        for (from, key) in pairs {
+            let (mut plain, mut traced) = (NetStats::new(), NetStats::new());
+            let mut rec = TraceRecorder::new();
+            let want = net.probe(from, key, &mut plain);
+            let got = net.probe_traced(from, key, &mut traced, Phase::Query, 0, &mut rec, None);
+            assert_eq!(got, want);
+            assert_eq!(traced, plain);
+            agree(&rec, &traced);
+            lost_walks += u64::from(matches!(want, Err(ChordError::Lost { .. })));
+            dead_probes += plain.count(MsgKind::Failed);
+
+            let mut rec = TraceRecorder::new();
+            net.reset_stats();
+            let got = net.lookup_fast_traced(from, key, Phase::Publish, 0, &mut rec);
+            assert_eq!(got, want);
+            assert_eq!(net.stats(), &plain);
+            agree(&rec, net.stats());
+            net.reset_stats();
+            assert_eq!(net.lookup_fast(from, key), want);
+            assert_eq!(net.stats(), &plain);
+            net.reset_stats();
+            let full = net.lookup(from, key);
+            assert_eq!(net.stats(), &plain);
+            assert!(full.iter().all(|l| l.path.len() as u32 == l.hops + 1));
+            assert_eq!(
+                full.map(|Lookup { owner, hops, .. }| LookupLite { owner, hops }),
+                want
+            );
+            let mut replayed = NetStats::new();
+            assert_eq!(net.probe_via(&memo, from, key, &mut replayed), want);
+            assert_eq!(replayed, plain);
+
+            let Ok(found) = want else { continue };
+            let (mut plain, mut traced) = (NetStats::new(), NetStats::new());
+            let mut rec = TraceRecorder::new();
+            let want = net.replicas_from_owner(found.owner, 4, &mut plain);
+            let got = net.replicas_from_owner_traced(
+                found.owner,
+                4,
+                &mut traced,
+                Phase::Query,
+                0,
+                &mut rec,
+            );
+            assert_eq!(got, want);
+            assert_eq!(traced, plain);
+            agree(&rec, &traced);
+            chain_timeouts += plain.count(MsgKind::Timeout);
+        }
+        assert!(lost_walks > 0, "30% loss with one retry must drown a walk");
+        assert!(dead_probes > 0, "stale successor entries must be probed");
+        assert!(chain_timeouts > 0, "replica chains must cross a dead entry");
+
+        // A dead-ended walk emits the probes it burned and no lookup.
+        let mut net = ChordNet::with_nodes(ChordConfig::default(), &[RingId(10), RingId(900)]);
+        net.fail(RingId(900)).unwrap();
+        net.node_mut(RingId(10))
+            .unwrap()
+            .set_successor_list(vec![RingId(900)]);
+        let (mut bill, mut rec) = (NetStats::new(), TraceRecorder::new());
+        let dead_end = net.probe_traced(
+            RingId(10),
+            RingId(500),
+            &mut bill,
+            Phase::Query,
+            0,
+            &mut rec,
+            None,
+        );
+        assert!(matches!(dead_end, Err(ChordError::DeadEnd { .. })));
+        assert_eq!(rec.kind_count(MsgKind::Failed), 1);
+        agree(&rec, &bill);
     }
 
     #[test]

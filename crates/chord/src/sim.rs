@@ -14,7 +14,7 @@
 //! * **A perfect default.** [`SimConfig::default`] is zero-latency,
 //!   zero-loss; the delivery layer short-circuits it without sampling, so
 //!   the default pipeline is bit-identical to the lockstep execution the
-//!   scheduler replaced (audited as the `sim/loss` determinism stage).
+//!   scheduler replaced (audited by `sprite-audit`'s `audit_sim`).
 //!
 //! Under nonzero loss a transmission may be dropped; each drop is billed as
 //! one real [`crate::MsgKind::Timeout`], and a sender retries up to

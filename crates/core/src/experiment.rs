@@ -219,9 +219,10 @@ impl World {
     /// score comes from the build-time [`World::central`] cache instead of
     /// a per-query corpus search. Results and absorbed stats are
     /// bit-identical to walking every route live and searching the
-    /// reference per query: the determinism audit's `query/batched` stage
-    /// and `traced_evaluate_is_bit_identical_to_untraced` pin the memo
-    /// half, `central_cache_is_the_prefix_of_a_live_search` the cache half.
+    /// reference per query: `sprite-audit`'s
+    /// `batched_pipeline_matches_unbatched_bit_for_bit` and
+    /// `traced_evaluate_is_bit_identical_to_untraced` pin the memo half,
+    /// `central_cache_is_the_prefix_of_a_live_search` the cache half.
     pub fn evaluate(&self, sys: &mut SpriteSystem, indices: &[usize], k: usize) -> RatioEval {
         sys.warm_query_terms(indices.iter().map(|&qi| &self.workload[qi].query));
         let per_query: Vec<(PrEval, PrEval, NetStats)> = {

@@ -201,7 +201,7 @@ impl IndexingState {
 
     /// The inverted list of `term`, if anything is indexed under it.
     /// The handle exposes length, exact wire size, and a decode-on-read
-    /// iterator — the query hot path never materializes packed lists.
+    /// iterator — the query hot path never materializes a list.
     #[must_use]
     pub fn postings(&self, term: TermId) -> Option<&PostingList> {
         self.inverted.get(&term)
@@ -241,18 +241,17 @@ impl IndexingState {
         v.into_iter()
     }
 
-    /// Replace the inverted list of `term` verbatim, skipping the
-    /// sorted-insert of [`Self::publish`] — **corruption injection** for
-    /// `sprite-audit` tests only. Injected lists are the one place a plain
-    /// (unpacked) [`PostingList`] is still built: the packed encoder
-    /// requires the very invariants these tests break (sorted, one entry
-    /// per document), so it cannot represent them.
-    pub fn inject_raw(&mut self, term: TermId, entries: Vec<IndexEntry>) {
-        if entries.is_empty() {
+    /// Replace the inverted list of `term` with a block of `count` entries
+    /// made of `bytes`, unvalidated — **corruption injection** for
+    /// `sprite-audit` tests only, and the only way bytes this crate did
+    /// not encode enter a list; run [`PostingList::check`] before reading
+    /// it. An empty block removes the list.
+    pub fn inject_raw(&mut self, term: TermId, bytes: Vec<u8>, count: u32) {
+        if bytes.is_empty() && count == 0 {
             self.inverted.remove(&term);
         } else {
             self.inverted
-                .insert(term, PostingList::from_entries(entries, false));
+                .insert(term, PostingList::from_raw(bytes, count));
         }
     }
 
@@ -269,9 +268,9 @@ impl IndexingState {
     }
 
     /// Deterministic *logical* bytes of the inverted index: each list's
-    /// stored size (encoded length when packed, a fixed per-entry cost
-    /// when plain) plus a 4-byte term key per list. Length-based, never
-    /// capacity, so the memory-per-peer metric gates on it exactly.
+    /// stored size (its encoded length) plus a 4-byte term key per list.
+    /// Length-based, never capacity, so the memory-per-peer metric gates on
+    /// it exactly.
     #[must_use]
     pub fn logical_index_bytes(&self) -> u64 {
         self.inverted.values().map(|l| 4 + l.stored_bytes()).sum()

@@ -11,14 +11,17 @@
 //! reusing the canonical LEB128 codec from `sprite-util`. Readers
 //! decode on the fly through [`PostingIter`].
 //!
-//! The [`PostingList::Plain`] variant is a **test vehicle**, never
-//! created by a deployment: corruption injection
-//! ([`crate::peer::IndexingState::inject_raw`]) needs a list the encoder
-//! cannot represent (unsorted, duplicate documents), and the tombstone
-//! property tests use the plain vector as the model the packed block is
-//! checked against.
+//! **Trust boundary.** Every block in service is self-produced: bytes
+//! only ever enter one through this module's encoder, so the decode-on-read
+//! iterator and the write kernel treat a block that fails to decode as a
+//! bug in this module and panic. The one door for foreign bytes is
+//! [`crate::peer::IndexingState::inject_raw`], which exists for the audit
+//! layer's corruption injection and adopts the bytes unvalidated;
+//! whoever holds such a block calls [`PostingList::check`] — the fallible
+//! full scan, typed [`CodecError`]s, no panics — before reading it, as
+//! `sprite-audit`'s `check_index` does.
 //!
-//! **Writes.** A packed block has one write kernel,
+//! **Writes.** A block has one write kernel,
 //! [`PostingList::publish_run`]: a doc-ascending run of entries is
 //! appended when it lies past the last stored document, leaves the block
 //! untouched when every entry is already stored, equal and live, and is
@@ -41,50 +44,38 @@
 //! finding the document is an allocation-free scan that stops at the
 //! first document id at or past it.
 //!
-//! **This module is the only place posting lists may be built.** A
-//! `sprite-lint` rule bans `Vec<IndexEntry>` construction elsewhere so
-//! every list flows through the sorted-insert invariant enforced here.
+//! **This module is the only place posting lists may be built**: the
+//! fields are private, so every list flows through the sorted-insert
+//! invariant enforced here.
 
-use sprite_util::{decode_varint, encode_varint, varint_len, RingId, WireSize};
+use sprite_util::{decode_varint, encode_varint, varint_len, CodecError, RingId, WireSize};
 
 use sprite_ir::DocId;
 
 use crate::peer::IndexEntry;
 
-/// Logical bytes one plain in-memory entry occupies: u32 doc id +
+/// Logical bytes one decoded in-memory entry would occupy: u32 doc id +
 /// 16-byte owner address + u32 tf + u32 doc-length + u32 distinct-count.
-/// A constant — not `size_of::<IndexEntry>()` — so the memory-per-peer
-/// metric is identical across compilers and never gates on layout.
+/// The denominator of the compression ratio (`plain_index_bytes`). A
+/// constant — not `size_of::<IndexEntry>()` — so the figure is identical
+/// across compilers and never gates on layout.
 pub const PLAIN_ENTRY_BYTES: u64 = 4 + 16 + 4 + 4 + 4;
 
 /// One inverted list, sorted by document id with one entry per document,
-/// stored as a delta-gap-compressed block (plain entries in tests only,
-/// see the module docs). Either way a sorted tombstone vector marks dead
-/// documents awaiting the lazy cleanup pass.
+/// stored as a delta-gap-compressed block: the per-entry wire encodings,
+/// concatenated. A sorted tombstone vector marks dead documents awaiting
+/// the lazy cleanup pass.
 #[derive(Clone, Debug)]
-pub enum PostingList {
-    /// Plain decoded entries — the layout of corruption-injected lists
-    /// (which may violate the encoder's strictly-ascending precondition
-    /// on purpose) and the reference model of the tombstone proptests.
-    Plain {
-        /// Doc-sorted entries, live and tombstoned alike.
-        entries: Vec<IndexEntry>,
-        /// Sorted document ids of tombstoned entries.
-        dead: Vec<u32>,
-    },
-    /// The per-entry wire encoding, concatenated. `count` entries;
-    /// `last_doc` is the final (largest) document id, so runs past it
-    /// append without touching earlier bytes.
-    Packed {
-        /// Concatenated per-entry encodings (no count prefix).
-        bytes: Vec<u8>,
-        /// Number of encoded entries, tombstoned ones included.
-        count: u32,
-        /// Document id of the last entry (meaningless when `count == 0`).
-        last_doc: u32,
-        /// Sorted document ids of tombstoned entries.
-        dead: Vec<u32>,
-    },
+pub struct PostingList {
+    /// Concatenated per-entry encodings (no count prefix).
+    bytes: Vec<u8>,
+    /// Number of encoded entries, tombstoned ones included.
+    count: u32,
+    /// Document id of the last (largest) entry, so runs past it append
+    /// without touching earlier bytes (meaningless when `count == 0`).
+    last_doc: u32,
+    /// Sorted document ids of tombstoned entries.
+    dead: Vec<u32>,
 }
 
 /// Append the per-entry encoding of `e` to `out`. `prev_doc` is the
@@ -103,36 +94,92 @@ fn encode_entry(e: &IndexEntry, prev_doc: Option<u32>, out: &mut Vec<u8>) {
     encode_varint(u64::from(e.distinct), out);
 }
 
-/// Decode one entry starting at `at`; returns the entry and the offset
-/// one past it. Packed bytes are self-produced, so failures are bugs.
-fn decode_entry(bytes: &[u8], at: usize, prev_doc: Option<u32>) -> (IndexEntry, usize) {
-    let (gap, at) = decode_varint(bytes, at).expect("packed postings: doc gap");
-    let doc = match prev_doc {
-        Some(p) => u64::from(p) + gap,
-        None => gap,
-    };
+/// Decode one entry of a block in service (see the module docs, "Trust
+/// boundary") starting at `at`; returns the entry and the offset one past
+/// it. Infallible on purpose — the query path pays no `Result` per entry:
+/// failing to decode self-produced bytes is a bug.
+fn entry_at(bytes: &[u8], at: usize, prev_doc: Option<u32>) -> (IndexEntry, usize) {
+    let (gap, at) = decode_varint(bytes, at).expect("self-produced posting block decodes");
+    let doc = prev_doc.map_or(gap, |p| u64::from(p) + gap);
     let owner_end = at + 16;
     let owner = u128::from_be_bytes(
         bytes[at..owner_end]
             .try_into()
-            .expect("packed postings: owner address"),
+            .expect("self-produced posting block decodes"),
     );
-    let (tf, at) = decode_varint(bytes, owner_end).expect("packed postings: tf");
-    let (doc_len, at) = decode_varint(bytes, at).expect("packed postings: doc_len");
-    let (distinct, at) = decode_varint(bytes, at).expect("packed postings: distinct");
-    (
-        IndexEntry {
-            doc: DocId(doc as u32),
-            owner: RingId(owner),
-            tf: tf as u32,
-            doc_len: doc_len as u32,
-            distinct: distinct as u32,
-        },
-        at,
-    )
+    let (tf, at) = decode_varint(bytes, owner_end).expect("self-produced posting block decodes");
+    let (doc_len, at) = decode_varint(bytes, at).expect("self-produced posting block decodes");
+    let (distinct, at) = decode_varint(bytes, at).expect("self-produced posting block decodes");
+    let entry = IndexEntry {
+        doc: DocId(doc as u32),
+        owner: RingId(owner),
+        tf: tf as u32,
+        doc_len: doc_len as u32,
+        distinct: distinct as u32,
+    };
+    (entry, at)
 }
 
-/// Byte extent of one packed entry: `start..body` holds the doc-gap
+/// Decode the canonical varint at `at` into a `u32` field.
+fn decode_u32(bytes: &[u8], at: usize) -> Result<(u32, usize), CodecError> {
+    let (v, next) = decode_varint(bytes, at)?;
+    let v = u32::try_from(v).map_err(|_| CodecError::Overflow { offset: at })?;
+    Ok((v, next))
+}
+
+/// [`entry_at`] for bytes nobody vouches for: any input either decodes,
+/// every field within `u32`, or yields a typed error. Off the query path —
+/// only the full scan behind [`PostingList::check`] calls it.
+fn decode_entry(
+    bytes: &[u8],
+    at: usize,
+    prev_doc: Option<u32>,
+) -> Result<(IndexEntry, usize), CodecError> {
+    let (gap, body) = decode_u32(bytes, at)?;
+    let doc = prev_doc
+        .unwrap_or(0)
+        .checked_add(gap)
+        .ok_or(CodecError::Overflow { offset: at })?;
+    let owner: [u8; 16] = bytes
+        .get(body..body + 16)
+        .and_then(|b| b.try_into().ok())
+        .ok_or(CodecError::Truncated {
+            offset: bytes.len(),
+        })?;
+    let (tf, at) = decode_u32(bytes, body + 16)?;
+    let (doc_len, at) = decode_u32(bytes, at)?;
+    let (distinct, at) = decode_u32(bytes, at)?;
+    let entry = IndexEntry {
+        doc: DocId(doc),
+        owner: RingId(u128::from_be_bytes(owner)),
+        tf,
+        doc_len,
+        distinct,
+    };
+    Ok((entry, at))
+}
+
+/// The fallible full decode behind [`PostingList::check`] and
+/// `PostingList::from_raw`: `count` entries of canonical varints with
+/// strictly ascending document ids, exactly filling `bytes`. Hands every
+/// document id to `visit` and returns the last one.
+fn scan(bytes: &[u8], count: u32, mut visit: impl FnMut(u32)) -> Result<Option<u32>, CodecError> {
+    let (mut at, mut prev) = (0, None);
+    for index in 0..count as usize {
+        let (entry, next) = decode_entry(bytes, at, prev)?;
+        if prev == Some(entry.doc.0) {
+            return Err(CodecError::NotAscending { index });
+        }
+        visit(entry.doc.0);
+        (at, prev) = (next, Some(entry.doc.0));
+    }
+    if at != bytes.len() {
+        return Err(CodecError::Inconsistent { offset: at });
+    }
+    Ok(prev)
+}
+
+/// Byte extent of one encoded entry: `start..body` holds the doc-gap
 /// varint, `body..end` the owner address and the three metadata varints.
 struct RawEntry {
     doc: u32,
@@ -143,7 +190,7 @@ struct RawEntry {
 
 /// Locate the entry starting at `at` without decoding its metadata.
 fn raw_entry(bytes: &[u8], at: usize, prev_doc: Option<u32>) -> RawEntry {
-    let (gap, body) = decode_varint(bytes, at).expect("packed postings: doc gap");
+    let (gap, body) = decode_varint(bytes, at).expect("self-produced posting block decodes");
     let doc = prev_doc.map_or(gap, |p| u64::from(p) + gap);
     let mut end = body + 16;
     for _ in 0..3 {
@@ -187,7 +234,7 @@ fn run_is_stored(bytes: &[u8], count: u32, dead: &[u32], run: &[IndexEntry]) -> 
             return false;
         }
         if raw.doc == want.doc.0 {
-            if decode_entry(bytes, at, prev).0 != *want || dead.binary_search(&raw.doc).is_ok() {
+            if entry_at(bytes, at, prev).0 != *want || dead.binary_search(&raw.doc).is_ok() {
                 return false;
             }
             next += 1;
@@ -201,7 +248,7 @@ fn run_is_stored(bytes: &[u8], count: u32, dead: &[u32], run: &[IndexEntry]) -> 
     false
 }
 
-/// The one byte-rewrite pass behind every packed mutation that is not a
+/// The one byte-rewrite pass behind every mutation that is not a
 /// pure append: merge the doc-ascending `run` into the block (an entry of
 /// the run replaces a stored entry for the same document) and leave out
 /// the documents in the sorted `drop` set. A kept entry is re-encoded only
@@ -239,7 +286,7 @@ fn rewrite(
             out.extend_from_slice(&bytes[copy_from..raw.start]);
             copy_from = raw.end;
             if is_dropped {
-                dropped.push(decode_entry(bytes, at, old_prev).0);
+                dropped.push(entry_at(bytes, at, old_prev).0);
             }
         } else {
             if out_prev != old_prev {
@@ -264,45 +311,62 @@ fn rewrite(
 }
 
 impl PostingList {
-    /// A fresh empty list in the requested representation.
+    /// A fresh empty list. The argument is ignored: it chose between two
+    /// representations when there were two, and the benchmark harness
+    /// still passes it.
     #[must_use]
-    pub fn new(packed: bool) -> Self {
-        if packed {
-            PostingList::Packed {
-                bytes: Vec::new(),
-                count: 0,
-                last_doc: 0,
-                dead: Vec::new(),
-            }
-        } else {
-            PostingList::Plain {
-                entries: Vec::new(),
-                dead: Vec::new(),
-            }
+    pub fn new(_packed: bool) -> Self {
+        PostingList {
+            bytes: Vec::new(),
+            count: 0,
+            last_doc: 0,
+            dead: Vec::new(),
         }
     }
 
-    /// Build a list from doc-sorted entries in the requested
-    /// representation. Callers guarantee sortedness (decoded lists, or
-    /// the sorted-insert path); corruption injection passes
-    /// `packed = false` so invalid lists are stored verbatim.
+    /// Build a list from entries ascending by document id, one entry per
+    /// document (decoded lists, or the sorted-insert path).
     #[must_use]
-    pub fn from_entries(entries: Vec<IndexEntry>, packed: bool) -> Self {
-        if !packed {
-            return PostingList::Plain {
-                entries,
-                dead: Vec::new(),
-            };
-        }
+    pub fn from_entries(entries: Vec<IndexEntry>) -> Self {
         let mut list = PostingList::new(true);
         list.publish_run(&entries);
         list
     }
 
-    /// True when stored in the compressed representation.
+    /// Adopt `bytes` as a block of `count` entries **without validating
+    /// them** — behind [`crate::peer::IndexingState::inject_raw`], the one
+    /// door for foreign bytes (module docs, "Trust boundary"). Call
+    /// [`Self::check`] before reading the result.
     #[must_use]
-    pub fn is_packed(&self) -> bool {
-        matches!(self, PostingList::Packed { .. })
+    pub(crate) fn from_raw(bytes: Vec<u8>, count: u32) -> Self {
+        let last_doc = scan(&bytes, count, |_| {}).ok().flatten().unwrap_or(0);
+        PostingList {
+            bytes,
+            count,
+            last_doc,
+            dead: Vec::new(),
+        }
+    }
+
+    /// The fallible full scan: `Ok` exactly when this block is one the
+    /// write kernel could have produced — `count` entries of canonical
+    /// varints exactly filling the bytes, strictly ascending document ids
+    /// and every field within `u32`, `last_doc` the last of them, and the
+    /// tombstone vector sorted and naming stored documents only. Never
+    /// panics, whatever the bytes.
+    pub fn check(&self) -> Result<(), CodecError> {
+        let mut dead = self.dead.iter().peekable();
+        let last = scan(&self.bytes, self.count, |doc| {
+            dead.next_if_eq(&&doc);
+        })?;
+        // The merge walk consumes `dead` only if it ascends through
+        // stored documents.
+        if dead.next().is_some() || last.is_some_and(|d| d != self.last_doc) {
+            return Err(CodecError::Inconsistent {
+                offset: self.bytes.len(),
+            });
+        }
+        Ok(())
     }
 
     /// Number of *live* entries — tombstoned documents are already
@@ -310,10 +374,7 @@ impl PostingList {
     /// dead.
     #[must_use]
     pub fn len(&self) -> usize {
-        match self {
-            PostingList::Plain { entries, dead } => entries.len() - dead.len(),
-            PostingList::Packed { count, dead, .. } => *count as usize - dead.len(),
-        }
+        self.count as usize - self.dead.len()
     }
 
     /// True when no live entries are stored (tombstoned entries may
@@ -326,46 +387,28 @@ impl PostingList {
     /// Number of tombstoned entries awaiting the lazy cleanup pass.
     #[must_use]
     pub fn dead_count(&self) -> usize {
-        match self {
-            PostingList::Plain { dead, .. } | PostingList::Packed { dead, .. } => dead.len(),
-        }
+        self.dead.len()
     }
 
-    /// The packed block's raw encoded bytes, when packed. Exposed so
-    /// tests can assert the append-only contract: between cleanups,
-    /// appended runs, refreshes that change nothing and tombstones never
-    /// rewrite existing bytes.
+    /// The block's raw encoded bytes. Exposed so tests can assert the
+    /// append-only contract: between cleanups, appended runs, refreshes
+    /// that change nothing and tombstones never rewrite existing bytes.
     #[must_use]
-    pub fn packed_bytes(&self) -> Option<&[u8]> {
-        match self {
-            PostingList::Plain { .. } => None,
-            PostingList::Packed { bytes, .. } => Some(bytes),
-        }
+    pub fn packed_bytes(&self) -> &[u8] {
+        &self.bytes
     }
 
     /// Iterate *live* entries in document-id order, decoding on the fly
     /// and skipping tombstoned documents.
     #[must_use]
     pub fn iter(&self) -> PostingIter<'_> {
-        let live = self.len();
-        match self {
-            PostingList::Plain { entries, dead } => PostingIter::Plain {
-                entries: entries.iter(),
-                dead,
-                dead_at: 0,
-                live,
-            },
-            PostingList::Packed {
-                bytes, count, dead, ..
-            } => PostingIter::Packed {
-                bytes,
-                at: 0,
-                remaining: *count,
-                prev_doc: None,
-                dead,
-                dead_at: 0,
-                live,
-            },
+        PostingIter {
+            bytes: &self.bytes,
+            at: 0,
+            remaining: self.count,
+            prev_doc: None,
+            dead: &self.dead,
+            live: self.len(),
         }
     }
 
@@ -379,34 +422,24 @@ impl PostingList {
     /// prefix plus the per-entry encodings of the *live* entries.
     /// Agrees byte-for-byte with
     /// [`crate::peer::posting_list_wire_size`] on the decoded entries;
-    /// with no tombstones pending, the packed block *is* the payload.
+    /// with no tombstones pending, the block *is* the payload.
     #[must_use]
     pub fn wire_size(&self) -> usize {
-        match self {
-            PostingList::Plain { entries, dead } if dead.is_empty() => {
-                crate::peer::posting_list_wire_size(entries)
-            }
-            PostingList::Packed {
-                bytes, count, dead, ..
-            } if dead.is_empty() => varint_len(u64::from(*count)) + bytes.len(),
-            _ => crate::peer::posting_list_wire_size(&self.to_entries()),
+        if self.dead.is_empty() {
+            varint_len(u64::from(self.count)) + self.bytes.len()
+        } else {
+            crate::peer::posting_list_wire_size(&self.to_entries())
         }
     }
 
-    /// Deterministic *logical* bytes this list occupies in memory:
-    /// encoded length for packed blocks, [`PLAIN_ENTRY_BYTES`] per entry
-    /// for plain vectors, plus 4 bytes per pending tombstone — dead
-    /// entries still occupy storage until the cleanup pass reclaims
-    /// them. Length-based, never capacity, so the memory-per-peer
-    /// metric gates on it exactly.
+    /// Deterministic *logical* bytes this list occupies in memory: the
+    /// encoded length plus 4 bytes per pending tombstone — dead entries
+    /// still occupy storage until the cleanup pass reclaims them.
+    /// Length-based, never capacity, so the memory-per-peer metric gates
+    /// on it exactly.
     #[must_use]
     pub fn stored_bytes(&self) -> u64 {
-        match self {
-            PostingList::Plain { entries, dead } => {
-                entries.len() as u64 * PLAIN_ENTRY_BYTES + dead.len() as u64 * 4
-            }
-            PostingList::Packed { bytes, dead, .. } => bytes.len() as u64 + dead.len() as u64 * 4,
-        }
+        self.bytes.len() as u64 + self.dead.len() as u64 * 4
     }
 
     /// Insert or replace the entry for its document, keeping the list
@@ -418,7 +451,7 @@ impl PostingList {
 
     /// Insert or replace a whole run of entries — ascending by document
     /// id, one entry per document — in one pass over the list. The one
-    /// write kernel of a packed block:
+    /// write kernel of a block:
     ///
     /// * a run that lies past the last stored document is appended, no
     ///   earlier byte touched;
@@ -439,39 +472,20 @@ impl PostingList {
         let Some(first) = run.first() else {
             return;
         };
-        match self {
-            PostingList::Plain { entries, dead } => {
-                for &entry in run {
-                    if let Ok(i) = dead.binary_search(&entry.doc.0) {
-                        dead.remove(i);
-                    }
-                    match entries.binary_search_by_key(&entry.doc, |e| e.doc) {
-                        Ok(i) => entries[i] = entry,
-                        Err(i) => entries.insert(i, entry),
-                    }
-                }
+        // Tombstoned docs were published before, so they sit at or below
+        // `last_doc`: the append path can never hit one.
+        if self.count == 0 || first.doc.0 > self.last_doc {
+            let mut prev = (self.count > 0).then_some(self.last_doc);
+            for e in run {
+                encode_entry(e, prev, &mut self.bytes);
+                prev = Some(e.doc.0);
             }
-            PostingList::Packed {
-                bytes,
-                count,
-                last_doc,
-                dead,
-            } => {
-                // Tombstoned docs were published before, so they sit at
-                // or below `last_doc`: the append path can never hit one.
-                if *count == 0 || first.doc.0 > *last_doc {
-                    let mut prev = (*count > 0).then_some(*last_doc);
-                    for e in run {
-                        encode_entry(e, prev, bytes);
-                        prev = Some(e.doc.0);
-                    }
-                    *count += run.len() as u32;
-                    *last_doc = prev.unwrap_or(0);
-                } else if !run_is_stored(bytes, *count, dead, run) {
-                    (*bytes, *count, *last_doc, _) = rewrite(bytes, *count, run, &[]);
-                    dead.retain(|d| run.binary_search_by_key(d, |e| e.doc.0).is_err());
-                }
-            }
+            self.count += run.len() as u32;
+            self.last_doc = prev.unwrap_or(0);
+        } else if !run_is_stored(&self.bytes, self.count, &self.dead, run) {
+            (self.bytes, self.count, self.last_doc, _) = rewrite(&self.bytes, self.count, run, &[]);
+            self.dead
+                .retain(|d| run.binary_search_by_key(d, |e| e.doc.0).is_err());
         }
     }
 
@@ -479,61 +493,31 @@ impl PostingList {
     /// tombstone included; true if the entry existed. The lazy
     /// alternative is [`Self::tombstone`].
     pub fn remove(&mut self, doc: DocId) -> bool {
-        match self {
-            PostingList::Plain { entries, dead } => {
-                if let Ok(i) = dead.binary_search(&doc.0) {
-                    dead.remove(i);
-                }
-                let before = entries.len();
-                entries.retain(|e| e.doc != doc);
-                entries.len() != before
-            }
-            PostingList::Packed {
-                bytes,
-                count,
-                last_doc,
-                dead,
-            } => {
-                if doc.0 > *last_doc || !block_contains(bytes, *count, doc.0) {
-                    return false;
-                }
-                (*bytes, *count, *last_doc, _) = rewrite(bytes, *count, &[], &[doc.0]);
-                if let Ok(i) = dead.binary_search(&doc.0) {
-                    dead.remove(i);
-                }
-                true
-            }
+        if doc.0 > self.last_doc || !block_contains(&self.bytes, self.count, doc.0) {
+            return false;
         }
+        (self.bytes, self.count, self.last_doc, _) =
+            rewrite(&self.bytes, self.count, &[], &[doc.0]);
+        if let Ok(i) = self.dead.binary_search(&doc.0) {
+            self.dead.remove(i);
+        }
+        true
     }
 
     /// Mark the entry for `doc` dead without touching the stored bytes;
     /// true if a live entry existed. The entry disappears from every
     /// live-facing accessor immediately; the physical reclaim — and its
-    /// billing — waits for [`Self::cleanup`]. On a packed block the
-    /// presence check is an allocation-free scan that stops at the first
-    /// document id at or past `doc`.
+    /// billing — waits for [`Self::cleanup`]. The presence check is an
+    /// allocation-free scan that stops at the first document id at or
+    /// past `doc`.
     pub fn tombstone(&mut self, doc: DocId) -> bool {
-        let (present, dead) = match self {
-            PostingList::Plain { entries, dead } => {
-                (entries.binary_search_by_key(&doc, |e| e.doc).is_ok(), dead)
-            }
-            PostingList::Packed {
-                bytes,
-                count,
-                last_doc,
-                dead,
-            } => (
-                doc.0 <= *last_doc && block_contains(bytes, *count, doc.0),
-                dead,
-            ),
-        };
-        if !present {
+        if doc.0 > self.last_doc || !block_contains(&self.bytes, self.count, doc.0) {
             return false;
         }
-        match dead.binary_search(&doc.0) {
+        match self.dead.binary_search(&doc.0) {
             Ok(_) => false,
             Err(i) => {
-                dead.insert(i, doc.0);
+                self.dead.insert(i, doc.0);
                 true
             }
         }
@@ -541,34 +525,21 @@ impl PostingList {
 
     /// Physically reclaim every tombstoned entry, returning the
     /// reclaimed entries in document order so the caller can bill each
-    /// one. A no-op (empty vector) when no tombstones are pending. For
-    /// packed blocks this and [`Self::remove`] are the only operations
-    /// that take bytes *out* from behind the append watermark.
+    /// one. A no-op (empty vector) when no tombstones are pending. This
+    /// and [`Self::remove`] are the only operations that take bytes
+    /// *out* from behind the append watermark.
     pub fn cleanup(&mut self) -> Vec<IndexEntry> {
-        if self.dead_count() == 0 {
+        if self.dead.is_empty() {
             return Vec::new();
         }
-        match self {
-            PostingList::Plain { entries, dead } => {
-                let dead = std::mem::take(dead);
-                let (live, reclaimed) = std::mem::take(entries)
-                    .into_iter()
-                    .partition(|e| dead.binary_search(&e.doc.0).is_err());
-                *entries = live;
-                reclaimed
-            }
-            PostingList::Packed {
-                bytes,
-                count,
-                last_doc,
-                dead,
-            } => {
-                let reclaimed;
-                (*bytes, *count, *last_doc, reclaimed) =
-                    rewrite(bytes, *count, &[], &std::mem::take(dead));
-                reclaimed
-            }
-        }
+        let reclaimed;
+        (self.bytes, self.count, self.last_doc, reclaimed) = rewrite(
+            &self.bytes,
+            self.count,
+            &[],
+            &std::mem::take(&mut self.dead),
+        );
+        reclaimed
     }
 }
 
@@ -586,86 +557,41 @@ impl<'a> IntoIterator for &'a PostingList {
 /// skipped by a merge walk against the sorted dead vector, so the
 /// iterator stays exact-size.
 #[derive(Clone, Debug)]
-pub enum PostingIter<'a> {
-    /// Plain slice walk.
-    Plain {
-        /// Underlying entries, dead ones included.
-        entries: std::slice::Iter<'a, IndexEntry>,
-        /// Sorted tombstoned document ids.
-        dead: &'a [u32],
-        /// Next tombstone to skip.
-        dead_at: usize,
-        /// Live entries not yet yielded.
-        live: usize,
-    },
-    /// Sequential decode of a packed block.
-    Packed {
-        /// The packed block.
-        bytes: &'a [u8],
-        /// Current decode offset.
-        at: usize,
-        /// Encoded entries left to decode (dead ones included).
-        remaining: u32,
-        /// Previous entry's document id (gap base).
-        prev_doc: Option<u32>,
-        /// Sorted tombstoned document ids.
-        dead: &'a [u32],
-        /// Next tombstone to skip.
-        dead_at: usize,
-        /// Live entries not yet yielded.
-        live: usize,
-    },
+pub struct PostingIter<'a> {
+    bytes: &'a [u8],
+    /// Current decode offset.
+    at: usize,
+    /// Encoded entries left to decode (dead ones included).
+    remaining: u32,
+    /// Previous entry's document id (gap base).
+    prev_doc: Option<u32>,
+    /// Tombstoned document ids not yet passed, ascending.
+    dead: &'a [u32],
+    /// Live entries not yet yielded.
+    live: usize,
 }
 
 impl Iterator for PostingIter<'_> {
     type Item = IndexEntry;
 
     fn next(&mut self) -> Option<IndexEntry> {
-        loop {
-            let (entry, dead, dead_at, live) = match self {
-                PostingIter::Plain {
-                    entries,
-                    dead,
-                    dead_at,
-                    live,
-                } => (entries.next().copied()?, dead, dead_at, live),
-                PostingIter::Packed {
-                    bytes,
-                    at,
-                    remaining,
-                    prev_doc,
-                    dead,
-                    dead_at,
-                    live,
-                } => {
-                    if *remaining == 0 {
-                        return None;
-                    }
-                    let (entry, next_at) = decode_entry(bytes, *at, *prev_doc);
-                    *at = next_at;
-                    *remaining -= 1;
-                    *prev_doc = Some(entry.doc.index() as u32);
-                    (entry, dead, dead_at, live)
-                }
-            };
-            if dead
-                .get(*dead_at)
-                .is_some_and(|&d| d == entry.doc.index() as u32)
-            {
-                *dead_at += 1;
+        while self.remaining > 0 {
+            let (entry, next_at) = entry_at(self.bytes, self.at, self.prev_doc);
+            self.at = next_at;
+            self.remaining -= 1;
+            self.prev_doc = Some(entry.doc.0);
+            if self.dead.first() == Some(&entry.doc.0) {
+                self.dead = &self.dead[1..];
                 continue;
             }
-            *live -= 1;
+            self.live -= 1;
             return Some(entry);
         }
+        None
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            PostingIter::Plain { live, .. } | PostingIter::Packed { live, .. } => {
-                (*live, Some(*live))
-            }
-        }
+        (self.live, Some(self.live))
     }
 }
 
@@ -687,64 +613,60 @@ mod tests {
     }
 
     #[test]
-    fn representations_agree_on_everything() {
+    fn block_plus_count_prefix_is_the_wire_encoding() {
         for publish_order in [
             vec![0u32, 1, 2, 3, 300, 301],
             vec![300, 0, 301, 2, 1, 3],
             vec![5],
             vec![],
         ] {
-            let mut plain = PostingList::new(false);
-            let mut packed = PostingList::new(true);
+            let mut list = PostingList::new(true);
             for &d in &publish_order {
-                plain.publish(entry(d, d + 1));
-                packed.publish(entry(d, d + 1));
+                list.publish(entry(d, d + 1));
             }
-            assert!(packed.is_packed() && !plain.is_packed());
-            assert_eq!(plain.len(), packed.len());
-            assert_eq!(plain.to_entries(), packed.to_entries());
-            assert_eq!(plain.wire_size(), packed.wire_size());
+            let mut docs = publish_order.clone();
+            docs.sort_unstable();
+            let decoded = list.to_entries();
             assert_eq!(
-                packed.wire_size(),
-                posting_list_wire_size(&packed.to_entries()),
-                "packed block + count prefix is exactly the wire encoding"
+                decoded,
+                docs.iter().map(|&d| entry(d, d + 1)).collect::<Vec<_>>()
             );
+            assert_eq!(list.len(), docs.len());
+            assert_eq!(list.wire_size(), posting_list_wire_size(&decoded));
+            assert_eq!(
+                varint_len(decoded.len() as u64) + list.packed_bytes().len(),
+                posting_list_wire_size(&decoded),
+                "block + count prefix is exactly the wire encoding"
+            );
+            assert_eq!(list.check(), Ok(()));
         }
     }
 
     #[test]
-    fn in_place_replace_and_remove_match() {
-        let mut plain = PostingList::new(false);
-        let mut packed = PostingList::new(true);
-        for list in [&mut plain, &mut packed] {
-            list.publish(entry(1, 1));
-            list.publish(entry(2, 1));
-            list.publish(entry(3, 1));
-            list.publish(entry(2, 9)); // replace mid-list
-            list.publish(entry(3, 7)); // replace last
-            assert!(list.remove(DocId(1)));
-            assert!(!list.remove(DocId(1)));
-            assert!(!list.remove(DocId(99)));
-        }
-        assert_eq!(plain.to_entries(), packed.to_entries());
-        assert_eq!(packed.len(), 2);
-        assert_eq!(packed.to_entries()[0].tf, 9);
-        assert_eq!(packed.to_entries()[1].tf, 7);
+    fn in_place_replace_and_remove() {
+        let mut list = PostingList::new(true);
+        list.publish(entry(1, 1));
+        list.publish(entry(2, 1));
+        list.publish(entry(3, 1));
+        list.publish(entry(2, 9)); // replace mid-list
+        list.publish(entry(3, 7)); // replace last
+        assert!(list.remove(DocId(1)));
+        assert!(!list.remove(DocId(1)));
+        assert!(!list.remove(DocId(99)));
+        assert_eq!(list.to_entries(), vec![entry(2, 9), entry(3, 7)]);
+        assert_eq!(list.check(), Ok(()));
     }
 
     #[test]
-    fn packed_is_smaller_than_plain() {
-        let entries: Vec<IndexEntry> = (0..64).map(|d| entry(1000 + d, 3)).collect();
-        let plain = PostingList::from_entries(entries.clone(), false);
-        let packed = PostingList::from_entries(entries, true);
-        assert!(packed.stored_bytes() < plain.stored_bytes());
-        assert_eq!(plain.stored_bytes(), 64 * PLAIN_ENTRY_BYTES);
+    fn block_is_smaller_than_decoded_entries() {
+        let list = PostingList::from_entries((0..64).map(|d| entry(1000 + d, 3)).collect());
+        assert!(list.stored_bytes() < 64 * PLAIN_ENTRY_BYTES);
     }
 
     #[test]
     fn iterator_is_exact_size() {
-        let packed = PostingList::from_entries((0..5).map(|d| entry(d, 1)).collect(), true);
-        let mut it = packed.iter();
+        let list = PostingList::from_entries((0..5).map(|d| entry(d, 1)).collect());
+        let mut it = list.iter();
         assert_eq!(it.len(), 5);
         it.next();
         assert_eq!(it.len(), 4);
@@ -753,65 +675,59 @@ mod tests {
 
     #[test]
     fn tombstones_hide_entries_until_cleanup_reclaims_them() {
-        for packed in [false, true] {
-            let mut list = PostingList::from_entries((0..6).map(|d| entry(d, 1)).collect(), packed);
-            assert!(list.tombstone(DocId(2)));
-            assert!(!list.tombstone(DocId(2)), "double tombstone is a no-op");
-            assert!(!list.tombstone(DocId(99)), "absent doc cannot be marked");
-            assert!(list.tombstone(DocId(5)));
-            assert_eq!(list.len(), 4);
-            assert_eq!(list.dead_count(), 2);
-            let docs: Vec<u32> = list.iter().map(|e| e.doc.index() as u32).collect();
-            assert_eq!(docs, vec![0, 1, 3, 4]);
-            assert_eq!(list.iter().len(), 4, "exact size excludes the dead");
-            assert_eq!(
-                list.wire_size(),
-                posting_list_wire_size(&list.to_entries()),
-                "wire size is live-only"
-            );
-            let reclaimed = list.cleanup();
-            assert_eq!(
-                reclaimed.iter().map(|e| e.doc.index()).collect::<Vec<_>>(),
-                vec![2, 5]
-            );
-            assert_eq!(list.dead_count(), 0);
-            assert_eq!(list.len(), 4);
-            assert!(list.cleanup().is_empty(), "second cleanup finds nothing");
-        }
+        let mut list = PostingList::from_entries((0..6).map(|d| entry(d, 1)).collect());
+        assert!(list.tombstone(DocId(2)));
+        assert!(!list.tombstone(DocId(2)), "double tombstone is a no-op");
+        assert!(!list.tombstone(DocId(99)), "absent doc cannot be marked");
+        assert!(list.tombstone(DocId(5)));
+        assert_eq!(list.len(), 4);
+        assert_eq!(list.dead_count(), 2);
+        assert_eq!(list.check(), Ok(()), "pending tombstones are consistent");
+        let docs: Vec<u32> = list.iter().map(|e| e.doc.index() as u32).collect();
+        assert_eq!(docs, vec![0, 1, 3, 4]);
+        assert_eq!(list.iter().len(), 4, "exact size excludes the dead");
+        assert_eq!(
+            list.wire_size(),
+            posting_list_wire_size(&list.to_entries()),
+            "wire size is live-only"
+        );
+        let reclaimed = list.cleanup();
+        assert_eq!(
+            reclaimed.iter().map(|e| e.doc.index()).collect::<Vec<_>>(),
+            vec![2, 5]
+        );
+        assert_eq!(list.dead_count(), 0);
+        assert_eq!(list.len(), 4);
+        assert!(list.cleanup().is_empty(), "second cleanup finds nothing");
     }
 
     #[test]
     fn republish_sheds_a_pending_tombstone() {
-        for packed in [false, true] {
-            let mut list = PostingList::from_entries((0..4).map(|d| entry(d, 1)).collect(), packed);
-            assert!(list.tombstone(DocId(1)));
-            assert_eq!(list.len(), 3);
-            list.publish(entry(1, 42)); // out-of-order republish
-            assert_eq!(list.len(), 4);
-            assert_eq!(list.dead_count(), 0);
-            assert_eq!(list.to_entries()[1].tf, 42);
-        }
+        let mut list = PostingList::from_entries((0..4).map(|d| entry(d, 1)).collect());
+        assert!(list.tombstone(DocId(1)));
+        assert_eq!(list.len(), 3);
+        list.publish(entry(1, 42)); // out-of-order republish
+        assert_eq!(list.len(), 4);
+        assert_eq!(list.dead_count(), 0);
+        assert_eq!(list.to_entries()[1].tf, 42);
     }
 
     #[test]
-    fn packed_tombstone_never_rewrites_bytes() {
-        let mut list = PostingList::from_entries((0..8).map(|d| entry(d, 1)).collect(), true);
-        let before = list.packed_bytes().expect("packed").to_vec();
+    fn tombstone_never_rewrites_bytes() {
+        let mut list = PostingList::from_entries((0..8).map(|d| entry(d, 1)).collect());
+        let before = list.packed_bytes().to_vec();
         assert!(list.tombstone(DocId(3)));
         assert!(list.tombstone(DocId(0)));
         assert_eq!(
-            list.packed_bytes().expect("packed"),
+            list.packed_bytes(),
             &before[..],
             "tombstones only touch the side vector"
         );
         list.publish(entry(100, 1)); // in-order append extends, never rewrites
-        assert_eq!(
-            &list.packed_bytes().expect("packed")[..before.len()],
-            &before[..]
-        );
+        assert_eq!(&list.packed_bytes()[..before.len()], &before[..]);
         list.cleanup();
         assert_ne!(
-            list.packed_bytes().expect("packed"),
+            list.packed_bytes(),
             &before[..],
             "cleanup is the watermark that re-encodes"
         );
@@ -819,13 +735,41 @@ mod tests {
 
     #[test]
     fn eager_remove_drops_a_tombstoned_entry_exactly_once() {
-        for packed in [false, true] {
-            let mut list = PostingList::from_entries((0..3).map(|d| entry(d, 1)).collect(), packed);
-            assert!(list.tombstone(DocId(1)));
-            assert!(list.remove(DocId(1)), "physical entry still existed");
-            assert_eq!(list.dead_count(), 0, "its tombstone went with it");
-            assert!(list.cleanup().is_empty());
-            assert_eq!(list.len(), 2);
-        }
+        let mut list = PostingList::from_entries((0..3).map(|d| entry(d, 1)).collect());
+        assert!(list.tombstone(DocId(1)));
+        assert!(list.remove(DocId(1)), "physical entry still existed");
+        assert_eq!(list.dead_count(), 0, "its tombstone went with it");
+        assert!(list.cleanup().is_empty());
+        assert_eq!(list.len(), 2);
+    }
+
+    #[test]
+    fn check_types_every_way_a_foreign_block_can_be_wrong() {
+        let good = PostingList::from_entries((0..4).map(|d| entry(10 * d, 1)).collect());
+        let bytes = good.packed_bytes().to_vec();
+        assert_eq!(PostingList::from_raw(bytes.clone(), 4).check(), Ok(()));
+        let check = |bytes: &[u8], count| PostingList::from_raw(bytes.to_vec(), count).check();
+        // Truncation, padded varints and absurd counts: the block fuzz in
+        // `crates/audit/tests/corruption.rs`.
+        assert!(matches!(
+            check(&bytes, 3),
+            Err(CodecError::Inconsistent { .. })
+        ));
+        // A zero gap is the same document twice.
+        let mut twice = bytes.clone();
+        encode_entry(&entry(30, 2), Some(30), &mut twice);
+        assert_eq!(check(&twice, 5), Err(CodecError::NotAscending { index: 4 }));
+        // A document id past `u32`.
+        let mut wide = Vec::new();
+        encode_varint(u64::from(u32::MAX) + 1, &mut wide);
+        wide.extend_from_slice(&bytes[1..]);
+        assert!(matches!(check(&wide, 4), Err(CodecError::Overflow { .. })));
+        // A tombstone for a document the block does not store.
+        let mut stray = good;
+        stray.dead.push(5);
+        assert!(matches!(
+            stray.check(),
+            Err(CodecError::Inconsistent { .. })
+        ));
     }
 }

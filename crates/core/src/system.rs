@@ -399,8 +399,8 @@ impl SpriteSystem {
     }
 
     /// What [`Self::logical_index_bytes`] would be if every list were
-    /// stored plain — the numerator of the compression ratio, counted
-    /// over the same contents.
+    /// held as decoded entries — the numerator of the compression ratio,
+    /// counted over the same contents.
     #[must_use]
     pub fn plain_index_bytes(&self) -> u64 {
         self.indexing

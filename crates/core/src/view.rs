@@ -217,9 +217,10 @@ impl<'a> QueryView<'a> {
 
     /// [`QueryView::query`] through a prebuilt [`RouteMemo`] — the batched
     /// pipeline's per-query entry point. Results and charges are
-    /// bit-identical to the unmemoized call (enforced by the determinism
-    /// audit's `query/batched` stage and the bench's `bit_identical`
-    /// flag); pairs missing from the memo fall back to a fresh walk.
+    /// bit-identical to the unmemoized call (enforced by
+    /// `batched_query_matches_plain_query_bit_for_bit` below and
+    /// `sprite-audit`'s `batched_pipeline_matches_unbatched_bit_for_bit`);
+    /// pairs missing from the memo fall back to a fresh walk.
     #[must_use]
     pub fn query_batched(
         &self,

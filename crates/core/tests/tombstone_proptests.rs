@@ -3,10 +3,10 @@
 //! Deterministic seeded loops (the workspace builds with an empty
 //! registry, so no `proptest` crate): random interleavings of publish,
 //! tombstone, eager-remove, and cleanup are replayed against a naive
-//! vector model, on the plain and packed representations side by side —
-//! every live-facing accessor must agree with the model at every step,
-//! and a packed block must never rewrite bytes behind its append
-//! watermark except through [`PostingList::cleanup`]. The write kernel,
+//! vector model — every live-facing accessor must agree with the model
+//! at every step, the block must pass [`PostingList::check`], and it
+//! must never rewrite bytes behind its append watermark except through
+//! [`PostingList::cleanup`]. The write kernel,
 //! [`PostingList::publish_run`], is held to the same model: a run leaves
 //! exactly what its entries published one by one, in any order, leave.
 
@@ -29,7 +29,7 @@ fn entry(r: &mut DetRng, doc: u32) -> IndexEntry {
 }
 
 /// The naive model: every stored entry with its tombstone flag, sorted
-/// by document id — the semantics the real representations must match.
+/// by document id — the semantics the block must match.
 #[derive(Default)]
 struct Model {
     stored: Vec<(IndexEntry, bool)>,
@@ -89,24 +89,22 @@ fn check_agreement(list: &PostingList, model: &Model, step: usize) {
     assert_eq!(
         list.to_entries(),
         live,
-        "live contents diverged at step {step} (packed: {})",
-        list.is_packed()
+        "live contents diverged at step {step}"
     );
+    assert_eq!(list.check(), Ok(()), "block malformed at step {step}");
     // The iterator is the query path: same entries, already doc-sorted.
     let via_iter: Vec<IndexEntry> = list.iter().collect();
     assert_eq!(via_iter, live);
 }
 
-/// Random interleavings of every mutation, replayed on both
-/// representations against the model: all live-facing accessors agree at
-/// every step, and both representations reclaim the same entries in the
-/// same order.
+/// Random interleavings of every mutation, replayed against the model:
+/// all live-facing accessors agree at every step, every verdict matches,
+/// and cleanup reclaims the same entries in the same order.
 #[test]
 fn random_interleavings_agree_with_the_naive_model() {
     let mut r = rng("interleave");
     for round in 0..64 {
-        let mut plain = PostingList::new(false);
-        let mut packed = PostingList::new(true);
+        let mut list = PostingList::new(true);
         let mut model = Model::default();
         let doc_space = r.gen_range(4..24) as u32;
         let steps = r.gen_range(10..60);
@@ -117,41 +115,30 @@ fn random_interleavings_agree_with_the_naive_model() {
                 // high ids) with out-of-order splices and republishes.
                 0..=4 => {
                     let e = entry(&mut r, doc);
-                    plain.publish(e);
-                    packed.publish(e);
+                    list.publish(e);
                     model.publish(e);
                 }
                 5..=6 => {
                     let d = DocId(doc);
-                    let a = plain.tombstone(d);
-                    let b = packed.tombstone(d);
-                    let m = model.tombstone(d);
-                    assert_eq!(a, m, "plain tombstone verdict, round {round} step {step}");
-                    assert_eq!(b, m, "packed tombstone verdict, round {round} step {step}");
+                    let (got, want) = (list.tombstone(d), model.tombstone(d));
+                    assert_eq!(got, want, "tombstone verdict, round {round} step {step}");
                 }
                 7 => {
                     let d = DocId(doc);
-                    let a = plain.remove(d);
-                    let b = packed.remove(d);
-                    let m = model.remove(d);
-                    assert_eq!(a, m, "plain remove verdict, round {round} step {step}");
-                    assert_eq!(b, m, "packed remove verdict, round {round} step {step}");
+                    let (got, want) = (list.remove(d), model.remove(d));
+                    assert_eq!(got, want, "remove verdict, round {round} step {step}");
                 }
                 _ => {
-                    let a = plain.cleanup();
-                    let b = packed.cleanup();
-                    let m = model.cleanup();
-                    assert_eq!(a, m, "plain reclaim set, round {round} step {step}");
-                    assert_eq!(b, m, "packed reclaim set, round {round} step {step}");
+                    let (got, want) = (list.cleanup(), model.cleanup());
+                    assert_eq!(got, want, "reclaim set, round {round} step {step}");
                 }
             }
-            check_agreement(&plain, &model, step);
-            check_agreement(&packed, &model, step);
+            check_agreement(&list, &model, step);
         }
     }
 }
 
-/// The packed append-only contract: between cleanups, in-order publishes,
+/// The append-only contract: between cleanups, in-order publishes,
 /// appended runs, refresh runs that change nothing and tombstones only
 /// ever *extend* the encoded block — every byte behind the watermark
 /// stays untouched. Only `cleanup` may rewrite.
@@ -192,7 +179,7 @@ fn packed_bytes_are_append_only_until_cleanup() {
                 }
                 _ => {}
             }
-            let bytes = list.packed_bytes().expect("packed list");
+            let bytes = list.packed_bytes();
             assert!(
                 bytes.len() >= snapshot.len() && bytes[..snapshot.len()] == snapshot[..],
                 "a non-cleanup operation rewrote bytes behind the watermark"
@@ -205,38 +192,36 @@ fn packed_bytes_are_append_only_until_cleanup() {
         assert_eq!(list.dead_count(), 0);
         // After the rewrite the block re-encodes only live entries: a
         // second cleanup is a no-op on an already-clean block.
-        let bytes_after = list.packed_bytes().expect("packed list").to_vec();
+        let bytes_after = list.packed_bytes().to_vec();
         assert!(list.cleanup().is_empty());
-        assert_eq!(list.packed_bytes().expect("packed list"), &bytes_after[..]);
+        assert_eq!(list.packed_bytes(), &bytes_after[..]);
     }
 }
 
 /// Republishing a tombstoned document revives it in place: the tombstone
 /// is shed, the fresh metadata wins, and a later cleanup reclaims
-/// nothing for it — on both representations.
+/// nothing for it.
 #[test]
 fn republish_sheds_a_pending_tombstone() {
     let mut r = rng("revive");
     for _ in 0..64 {
-        for packed in [false, true] {
-            let mut list = PostingList::new(packed);
-            let docs = r.gen_range(3..10) as u32;
-            for d in 0..docs {
-                list.publish(entry(&mut r, d));
-            }
-            let victim = DocId(r.gen_range(0..docs as usize) as u32);
-            assert!(list.tombstone(victim));
-            assert_eq!(list.dead_count(), 1);
-            let revived = entry(&mut r, victim.0);
-            list.publish(revived);
-            assert_eq!(list.dead_count(), 0, "republish must shed the tombstone");
-            assert!(list.to_entries().contains(&revived));
-            assert!(list.cleanup().is_empty(), "nothing left to reclaim");
+        let mut list = PostingList::new(true);
+        let docs = r.gen_range(3..10) as u32;
+        for d in 0..docs {
+            list.publish(entry(&mut r, d));
         }
+        let victim = DocId(r.gen_range(0..docs as usize) as u32);
+        assert!(list.tombstone(victim));
+        assert_eq!(list.dead_count(), 1);
+        let revived = entry(&mut r, victim.0);
+        list.publish(revived);
+        assert_eq!(list.dead_count(), 0, "republish must shed the tombstone");
+        assert!(list.to_entries().contains(&revived));
+        assert!(list.cleanup().is_empty(), "nothing left to reclaim");
     }
 }
 
-/// A packed list over some documents of `0..doc_space` published in
+/// A list over some documents of `0..doc_space` published in
 /// random order, a few of them tombstoned, with the model that mirrors it.
 fn random_list(r: &mut DetRng, doc_space: u32) -> (PostingList, Model) {
     let (mut list, mut model) = (PostingList::new(true), Model::default());
@@ -319,8 +304,7 @@ fn publish_run_leaves_what_one_by_one_publishes_leave_in_any_order() {
         }
         // The block is canonical: building the live + dead contents from
         // scratch gives the same bytes, so no merge left a stale gap.
-        let rebuilt =
-            PostingList::from_entries(model.stored.iter().map(|(e, _)| *e).collect(), true);
+        let rebuilt = PostingList::from_entries(model.stored.iter().map(|(e, _)| *e).collect());
         assert_eq!(merged.packed_bytes(), rebuilt.packed_bytes(), "{round}");
     }
 }
@@ -339,12 +323,12 @@ fn a_refresh_run_that_changes_nothing_never_touches_the_block() {
             continue;
         }
         checked += 1;
-        let block = list.packed_bytes().expect("packed list");
+        let block = list.packed_bytes();
         let (ptr, before) = (block.as_ptr(), block.to_vec());
         let dead = list.dead_count();
         list.publish_run(&run);
         list.publish(run[run.len() / 2]);
-        let block = list.packed_bytes().expect("packed list");
+        let block = list.packed_bytes();
         assert_eq!(block.as_ptr(), ptr, "the block was reallocated");
         assert_eq!(block, &before[..], "the block was rewritten");
         assert_eq!(list.dead_count(), dead);

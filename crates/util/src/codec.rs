@@ -52,11 +52,19 @@ pub enum CodecError {
         offset: usize,
     },
     /// `encode_gap_list` was handed a list that is not strictly
-    /// ascending.
+    /// ascending, or a decoded gap-encoded block repeats an element.
     NotAscending {
         /// Index of the first element that does not exceed its
         /// predecessor.
         index: usize,
+    },
+    /// Side data stored next to an encoded block (its element count, its
+    /// last element, a set naming some of its elements) disagrees with
+    /// what the block's bytes decode to.
+    Inconsistent {
+        /// Byte offset the decoder had reached when the disagreement
+        /// showed.
+        offset: usize,
     },
 }
 
@@ -74,6 +82,9 @@ impl fmt::Display for CodecError {
             }
             CodecError::NotAscending { index } => {
                 write!(f, "gap list not strictly ascending at index {index}")
+            }
+            CodecError::Inconsistent { offset } => {
+                write!(f, "block disagrees with its side data at byte {offset}")
             }
         }
     }

@@ -510,7 +510,7 @@ fn failover_files_the_query_at_the_routed_owner_only() {
     // arc, §7); its replicas still hold theirs.
     sys.indexing_state_mut(owner)
         .expect("the owner indexes the term")
-        .inject_raw(t, Vec::new());
+        .inject_raw(t, Vec::new(), 0);
     let (mut bill, mut scratch) = (NetStats::new(), RankScratch::new());
     let view = sys.query_view();
     let (_, report) = view.query_trace(from, &q, 20, &mut bill, &mut scratch);
@@ -520,6 +520,27 @@ fn failover_files_the_query_at_the_routed_owner_only() {
     assert!(!sys.issue_query_from(from, &q, 20).is_empty());
     let after = (cached_queries(&sys, owner), cached_queries(&sys, served_by));
     assert_eq!(after, (before.0 + 1, before.1));
+}
+
+#[test]
+fn corrupt_posting_block_is_a_typed_violation_not_a_panic() {
+    let mut sys = tiny_deployment(SpriteConfig::default(), 16);
+    sys.publish_all();
+    assert_eq!(sprite::audit::check_system(&sys), Vec::new());
+    let peer = sys.indexing_peers()[0];
+    let st = sys.indexing_state(peer).expect("listed peer indexes");
+    let (term, list) = st.terms().next().expect("it holds a list");
+    // A block that claims one entry more than its bytes hold.
+    let (bytes, count) = (list.packed_bytes().to_vec(), list.len() as u32 + 1);
+    sys.indexing_state_mut(peer)
+        .expect("listed peer indexes")
+        .inject_raw(term, bytes, count);
+    let found = sprite::audit::check_system(&sys);
+    assert!(
+        matches!(found[..], [sprite::audit::Violation::MalformedPostings { peer: p, term: t, .. }]
+            if p == peer && t == term),
+        "expected one MalformedPostings for ({peer:?}, {term:?}), got {found:?}"
+    );
 }
 
 #[test]
