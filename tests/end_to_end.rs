@@ -786,3 +786,99 @@ fn learning_pass_that_adds_and_removes_ends_in_the_pinned_index_and_bill() {
         "message and byte bill"
     );
 }
+
+// ---------------------------------------------------------------------
+// Pinned composed-fault run: the write paths no other fingerprint covers
+// — maintenance transfers and hand-over under link loss, and the §7
+// advisory. The values are those of the commit before every index record
+// went through one diff, one `deliver` and one `install`.
+// ---------------------------------------------------------------------
+
+#[test]
+fn churn_lifecycle_and_repair_under_loss_end_in_the_pinned_state() {
+    use sprite::audit::determinism::{fingerprint_index, fingerprint_owners, fingerprint_stats};
+    use sprite::chord::{ChurnConfig, ChurnEngine};
+    use sprite::corpus::{DocChurnConfig, DocChurnEngine};
+
+    let world = tiny_world();
+    let cfg = SpriteConfig {
+        replication: 3,
+        ..SpriteConfig::default()
+    };
+    // 64 peers and this link seed: among the maintenance transfers' fixed
+    // per-destination links, some deliver on the retry and one drowns.
+    let mut sys = SpriteSystem::build(world.synthetic.corpus().clone(), 64, cfg, 77);
+    sys.net_mut().set_sim(SimConfig {
+        seed: 5,
+        loss: 0.02,
+        max_retries: 1,
+        ..SimConfig::default()
+    });
+    sys.publish_all();
+    sys.replicate_indexes();
+    world.issue(&mut sys, &world.train, Schedule::WithoutRepeats);
+
+    let mut peers = ChurnEngine::new(
+        ChurnConfig {
+            join_rate: 1.5,
+            leave_rate: 1.0,
+            fail_rate: 0.5,
+            ..ChurnConfig::default()
+        },
+        78,
+    );
+    let mut docs = DocChurnEngine::new(
+        DocChurnConfig {
+            insert_rate: 2.0,
+            update_rate: 3.0,
+            delete_rate: 2.0,
+            min_docs: 8,
+        },
+        79,
+        &world.synthetic,
+    );
+    let (mut joins, mut leaves, mut fails) = (0, 0, 0);
+    let (mut handed_over, mut orphans_moved) = (0, 0);
+    let (mut inserted, mut updated, mut deleted) = (0, 0, 0);
+    for _ in 0..8 {
+        let churn = sys.churn_tick(&mut peers);
+        joins += churn.tick.joins;
+        leaves += churn.tick.leaves;
+        fails += churn.tick.fails;
+        handed_over += churn.handed_over;
+        let events = docs.plan(&sys.live_docs(), sys.corpus().len());
+        let applied = sys.apply_doc_events(&events);
+        inserted += applied.inserted;
+        updated += applied.updated;
+        deleted += applied.deleted;
+        orphans_moved += sys.maintenance_round().orphans_moved;
+    }
+    assert!(joins > 0 && leaves > 0 && fails > 0, "peer churn");
+    assert!(inserted > 0 && updated > 0 && deleted > 0, "document churn");
+    assert!(handed_over > 0, "no leaving peer handed its lists over");
+    assert!(orphans_moved > 0, "no orphaned entry was re-homed");
+
+    let advisory = sys.hot_term_advisory(12);
+    assert!(advisory.replacements > 0, "the advisory replaced nothing");
+    let added: usize = sys.learn(2).iter().map(|r| r.terms_added).sum();
+    assert!(added > 0, "learning published nothing");
+    assert!(
+        sys.net().stats().count(MsgKind::Timeout) > 0,
+        "no transmission dropped"
+    );
+    assert_eq!(
+        fingerprint_index(&sys),
+        0x3b725cb8bc6222f517b887c177c0bd3e,
+        "index fingerprint"
+    );
+    assert_eq!(
+        fingerprint_owners(&sys),
+        0x5050c999fc5ed435987daa2c1e339c0f,
+        "owner-state fingerprint"
+    );
+    assert_eq!(
+        fingerprint_stats(sys.net().stats()),
+        0xed948e92acd04123b314fc8ae2d122a2,
+        "message and byte bill"
+    );
+}
