@@ -17,10 +17,6 @@
 //! * **forbid-unsafe** — crate roots must carry `#![forbid(unsafe_code)]`.
 //! * **no-raw-spawn** — `thread::spawn` / `thread::scope` only inside
 //!   `crates/util/src/pool.rs`.
-//! * **no-direct-delivery** — `link_delivery(…)` (sampling a network
-//!   model's per-link fate) only inside the delivery layer
-//!   (`crates/chord/src/{sim,ring}.rs`); everyone else plans transmissions
-//!   through `ChordNet::plan_delivery` so drops bill real timeouts.
 //!
 //! Semantic rules (over the workspace call graph; see DESIGN.md §11):
 //!
@@ -132,12 +128,6 @@ const BILLING_LAYER: &[&str] = &[
     "crates/chord/src/trace.rs",
     "crates/chord/src/ring.rs",
 ];
-
-/// The event-driven delivery layer: the only files allowed to sample a
-/// network model's per-link fate directly. Everything else must plan
-/// transmissions through `ChordNet::plan_delivery` (or the routed walks),
-/// which bill drops as real timeouts and respect the retry budget.
-const DELIVERY_LAYER: &[&str] = &["crates/chord/src/sim.rs", "crates/chord/src/ring.rs"];
 
 /// Raw `NetStats` mutators banned (as method calls) on the reachable
 /// retrieval path outside the billing layer.
@@ -411,18 +401,6 @@ fn token_rules(f: &FileModel, out: &mut Vec<Diagnostic>) {
                     "expect() without a non-empty string-literal message".to_string(),
                 ));
             }
-        }
-        if t == "link_delivery" && next == "(" && !DELIVERY_LAYER.contains(&rel) {
-            out.push(diag(
-                line,
-                "no-direct-delivery",
-                format!(
-                    "link_delivery sampled outside the delivery layer ({}); plan \
-                     transmissions through ChordNet::plan_delivery so drops are billed \
-                     as timeouts and retries respect the budget",
-                    DELIVERY_LAYER.join(", ")
-                ),
-            ));
         }
         if t == "thread" && next == "::" && i + 2 < n && rel != POOL_MODULE {
             let what = text(i + 2);

@@ -120,18 +120,6 @@ fn raw_spawns_are_confined_to_the_pool_module() {
 }
 
 #[test]
-fn direct_delivery_sampling_is_confined_to_the_delivery_layer() {
-    let sampley = "pub fn f(m: &LinkModel) { m.link_delivery(a, b, 0); }\n";
-    let diags = run(&[
-        ("crates/core/src/fx.rs", sampley),
-        ("crates/chord/src/sim.rs", sampley),
-        ("crates/chord/src/ring.rs", sampley),
-    ]);
-    assert_eq!(lines(&diags), [(1, "no-direct-delivery")]);
-    assert_eq!(diags[0].file, "crates/core/src/fx.rs");
-}
-
-#[test]
 fn ambient_time_is_banned_in_every_crate_bench_included() {
     let timey = "pub fn t() -> std::time::Instant { std::time::Instant::now() }\n";
     // `crates/bench` is a simulation crate like the rest — it gates

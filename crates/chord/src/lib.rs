@@ -12,7 +12,7 @@
 //!   studies;
 //! * [`trace`] — the deterministic observability layer: zero-cost-when-
 //!   disabled trace sinks, structured events, and mergeable cost recorders;
-//! * [`sim`] — pluggable network models (latency/jitter, link asymmetry,
+//! * [`sim`] — the network model (latency/jitter, link asymmetry,
 //!   Bernoulli loss) behind the event-driven delivery layer; the default
 //!   perfect network is bit-identical to lockstep execution.
 
@@ -32,6 +32,6 @@ pub mod trace;
 pub use churn::{ChurnConfig, ChurnEngine, ChurnEvent, TickReport};
 pub use node::NodeState;
 pub use ring::{ChordConfig, ChordError, ChordNet, Lookup, LookupLite, RouteMemo};
-pub use sim::{Delivery, LinkModel, NetworkModel, PerfectNetwork, SimConfig};
+pub use sim::SimConfig;
 pub use stats::{MsgKind, NetStats, MSG_KINDS};
 pub use trace::{Event, NullTrace, Phase, TraceRecorder, TraceSink, PHASES};

@@ -281,8 +281,9 @@ impl ChordNet {
     /// `Err(drops)` means the retransmission budget drowned and the message
     /// is lost for good. The perfect default short-circuits to
     /// `Ok((0, 0))` without sampling — the bit-identity contract. This is
-    /// the only sanctioned delivery entry for application crates: direct
-    /// `link_delivery` calls outside the delivery layer are lint-banned.
+    /// the only delivery entry for application crates (the per-attempt
+    /// sampler is private to [`sim`]); `sprite-core` calls it from one
+    /// place, `SpriteSystem::deliver`.
     pub fn plan_delivery(&self, from: RingId, to: RingId, salt: u64) -> Result<(u64, u64), u64> {
         if self.sim.is_perfect() {
             return Ok((0, 0));

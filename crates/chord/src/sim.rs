@@ -1,9 +1,13 @@
-//! Network models for event-driven message delivery (DESIGN.md §13).
+//! The network model of event-driven message delivery (DESIGN.md §13).
 //!
 //! Every message the simulator "sends" — a routing hop during a Chord walk,
 //! a batched index-publication transfer, a maintenance re-replication —
-//! transits a [`NetworkModel`]: per-link latency with bounded jitter, link
-//! asymmetry, and Bernoulli packet loss. Two properties are load-bearing:
+//! transits the link model [`SimConfig`] describes: per-link latency with
+//! bounded jitter, link asymmetry, and Bernoulli packet loss. Callers reach
+//! it through [`SimConfig::transmit`] (in practice through
+//! [`crate::ChordNet::plan_delivery`] and the lossy walk); the per-attempt
+//! sampler is private to this module, so a drop can never go unbilled. Two
+//! properties are load-bearing:
 //!
 //! * **Stateless sampling.** A link's fate is a pure hash of
 //!   `(seed, from, to, salt)` — no RNG stream is consumed, so read-only
@@ -81,101 +85,43 @@ impl SimConfig {
     /// dropped attempts, each owed one [`crate::MsgKind::Timeout`] charge.
     /// Returns `Err(drops)` when the whole budget drowned.
     pub fn transmit(&self, from: RingId, to: RingId, salt: u64) -> Result<(u64, u64), u64> {
-        let model = LinkModel::new(self);
         let rto = self.latency + self.jitter + 1;
         let mut drops = 0u64;
         for attempt in 0..=u64::from(self.max_retries) {
-            match model.link_delivery(from, to, salt.wrapping_add(attempt)) {
-                Delivery::Deliver { latency } => return Ok((drops * rto + latency, drops)),
-                Delivery::Drop => drops += 1,
+            match link_latency(self, from, to, salt.wrapping_add(attempt)) {
+                Some(latency) => return Ok((drops * rto + latency, drops)),
+                None => drops += 1,
             }
         }
         Err(drops)
     }
 }
 
-/// Fate of a single transmission attempt.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Delivery {
-    /// The message arrives after `latency` time units.
-    Deliver {
-        /// One-way delay of this attempt.
-        latency: u64,
-    },
-    /// The message is lost in flight.
-    Drop,
-}
-
-/// A pluggable link model: given sender, receiver, and a caller-chosen
-/// salt (distinguishing attempts on the same link), decide the fate of one
-/// transmission. Implementations must be pure functions of their inputs.
-pub trait NetworkModel {
-    /// Sample the fate of one transmission `from → to`.
-    ///
-    /// Application crates must not call this directly — route messages
-    /// through [`crate::ChordNet::plan_delivery`] or the lossy walk instead
-    /// (enforced by the `no-direct-delivery` lint rule).
-    fn link_delivery(&self, from: RingId, to: RingId, salt: u64) -> Delivery;
-}
-
-/// The ideal network: instant, reliable delivery.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PerfectNetwork;
-
-impl NetworkModel for PerfectNetwork {
-    fn link_delivery(&self, _from: RingId, _to: RingId, _salt: u64) -> Delivery {
-        Delivery::Deliver { latency: 0 }
+/// Fate of one transmission attempt `from → to`: `Some(latency)` when it
+/// arrives, `None` when it is lost in flight. Base latency plus uniform
+/// jitter, an asymmetry surcharge for "uphill" links, and Bernoulli loss —
+/// all sampled by hashing `(seed, from, to, salt)` with a splitmix64
+/// finalizer, so the fate is a pure function of its inputs.
+fn link_latency(cfg: &SimConfig, from: RingId, to: RingId, salt: u64) -> Option<u64> {
+    let mut h = splitmix64(cfg.seed ^ 0xa076_1d64_78bd_642f);
+    h = splitmix64(h ^ (from.0 as u64));
+    h = splitmix64(h ^ ((from.0 >> 64) as u64));
+    h = splitmix64(h ^ (to.0 as u64));
+    h = splitmix64(h ^ ((to.0 >> 64) as u64));
+    h = splitmix64(h ^ salt);
+    // Top 53 bits → uniform in [0, 1) for the Bernoulli loss trial.
+    let u = (h >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0);
+    if u < cfg.loss {
+        return None;
     }
-}
-
-/// The [`SimConfig`]-driven model: base latency plus uniform jitter, an
-/// asymmetry surcharge for "uphill" links, and Bernoulli loss — all sampled
-/// by hashing `(seed, from, to, salt)` with a splitmix64 finalizer.
-#[derive(Clone, Copy, Debug)]
-pub struct LinkModel {
-    seed: u64,
-    latency: u64,
-    jitter: u64,
-    asymmetry: u64,
-    loss: f64,
-}
-
-impl LinkModel {
-    /// A model over the given parameters.
-    #[must_use]
-    pub fn new(cfg: &SimConfig) -> Self {
-        LinkModel {
-            seed: cfg.seed,
-            latency: cfg.latency,
-            jitter: cfg.jitter,
-            asymmetry: cfg.asymmetry,
-            loss: cfg.loss,
-        }
+    let mut latency = cfg.latency;
+    if cfg.jitter > 0 {
+        latency += splitmix64(h) % (cfg.jitter + 1);
     }
-}
-
-impl NetworkModel for LinkModel {
-    fn link_delivery(&self, from: RingId, to: RingId, salt: u64) -> Delivery {
-        let mut h = splitmix64(self.seed ^ 0xa076_1d64_78bd_642f);
-        h = splitmix64(h ^ (from.0 as u64));
-        h = splitmix64(h ^ ((from.0 >> 64) as u64));
-        h = splitmix64(h ^ (to.0 as u64));
-        h = splitmix64(h ^ ((to.0 >> 64) as u64));
-        h = splitmix64(h ^ salt);
-        // Top 53 bits → uniform in [0, 1) for the Bernoulli loss trial.
-        let u = (h >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0);
-        if u < self.loss {
-            return Delivery::Drop;
-        }
-        let mut latency = self.latency;
-        if self.jitter > 0 {
-            latency += splitmix64(h) % (self.jitter + 1);
-        }
-        if from > to {
-            latency += self.asymmetry;
-        }
-        Delivery::Deliver { latency }
+    if from > to {
+        latency += cfg.asymmetry;
     }
+    Some(latency)
 }
 
 /// Mix three caller values into a transmission salt. Used to derive
@@ -225,20 +171,14 @@ mod tests {
             loss: 0.3,
             ..SimConfig::default()
         };
-        let m = LinkModel::new(&cfg);
-        let a = m.link_delivery(RingId(10), RingId(20), 1);
-        let b = m.link_delivery(RingId(10), RingId(20), 1);
+        let a = link_latency(&cfg, RingId(10), RingId(20), 1);
+        let b = link_latency(&cfg, RingId(10), RingId(20), 1);
         assert_eq!(a, b, "same inputs must sample the same fate");
-        let other_seed = LinkModel::new(&SimConfig { seed: 8, ..cfg });
-        let mut differs = false;
-        for salt in 0..64 {
-            if m.link_delivery(RingId(10), RingId(20), salt)
-                != other_seed.link_delivery(RingId(10), RingId(20), salt)
-            {
-                differs = true;
-                break;
-            }
-        }
+        let other_seed = SimConfig { seed: 8, ..cfg };
+        let differs = (0..64).any(|salt| {
+            link_latency(&cfg, RingId(10), RingId(20), salt)
+                != link_latency(&other_seed, RingId(10), RingId(20), salt)
+        });
         assert!(differs, "different seeds must realize different links");
     }
 
@@ -249,10 +189,9 @@ mod tests {
             loss: 0.25,
             ..SimConfig::default()
         };
-        let m = LinkModel::new(&cfg);
         let n = 20_000;
         let dropped = (0..n)
-            .filter(|&salt| m.link_delivery(RingId(3), RingId(9), salt) == Delivery::Drop)
+            .filter(|&salt| link_latency(&cfg, RingId(3), RingId(9), salt).is_none())
             .count();
         let emp = dropped as f64 / n as f64;
         assert!(
@@ -270,22 +209,19 @@ mod tests {
             asymmetry: 100,
             ..SimConfig::default()
         };
-        let m = LinkModel::new(&cfg);
         for salt in 0..200 {
             // Downhill link (from < to): latency in [10, 14].
-            match m.link_delivery(RingId(1), RingId(2), salt) {
-                Delivery::Deliver { latency } => {
-                    assert!((10..=14).contains(&latency), "downhill latency {latency}");
-                }
-                Delivery::Drop => panic!("lossless model dropped"),
-            }
+            let downhill = link_latency(&cfg, RingId(1), RingId(2), salt);
+            assert!(
+                downhill.is_some_and(|l| (10..=14).contains(&l)),
+                "{downhill:?}"
+            );
             // Uphill link (from > to): the asymmetry surcharge applies.
-            match m.link_delivery(RingId(2), RingId(1), salt) {
-                Delivery::Deliver { latency } => {
-                    assert!((110..=114).contains(&latency), "uphill latency {latency}");
-                }
-                Delivery::Drop => panic!("lossless model dropped"),
-            }
+            let uphill = link_latency(&cfg, RingId(2), RingId(1), salt);
+            assert!(
+                uphill.is_some_and(|l| (110..=114).contains(&l)),
+                "{uphill:?}"
+            );
         }
     }
 
@@ -319,16 +255,5 @@ mod tests {
             }
         }
         assert!(delivered_after_drop, "retransmission path never exercised");
-    }
-
-    #[test]
-    fn perfect_network_model_never_drops() {
-        let m = PerfectNetwork;
-        for salt in 0..32 {
-            assert_eq!(
-                m.link_delivery(RingId(salt as u128), RingId(0), salt),
-                Delivery::Deliver { latency: 0 }
-            );
-        }
     }
 }

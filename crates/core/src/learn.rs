@@ -6,7 +6,7 @@
 //! full query history; a property test asserts both agree (the paper's
 //! argument: `max(S₁∪S₂) = max(max S₁, max S₂)` and `QF` is cumulative).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use sprite_ir::{Document, Query, TermId};
 use sprite_util::{top_k, F64Ord};
@@ -82,39 +82,19 @@ pub fn update_stats(doc: &Document, stats: &mut HashMap<TermId, TermStat>, new_q
 }
 
 /// Select the document's global index terms given its (already updated)
-/// statistics: the top `budget` terms by [`term_score`], padded — when
-/// fewer terms have a positive score — with the document's most frequent
-/// terms (the same signal that seeded the index, §5.2). The returned list
-/// is in rank order and free of duplicates.
+/// statistics: the top `budget` terms by [`term_score_with`] under `mode`,
+/// padded — when fewer terms have a positive score — with the document's
+/// most frequent terms (the same signal that seeded the index, §5.2).
+/// Terms in `excluded` are never chosen (the §7 hot-term advisory — a peer
+/// overloaded by a high-df term tells owners to index an analogously
+/// important term instead). The returned list is in rank order and free of
+/// duplicates.
 #[must_use]
 pub fn select_terms(
     doc: &Document,
     stats: &HashMap<TermId, TermStat>,
     budget: usize,
-) -> Vec<TermId> {
-    select_terms_excluding(doc, stats, budget, &std::collections::HashSet::new())
-}
-
-/// [`select_terms`] with a veto set: terms in `excluded` are never chosen
-/// (the §7 hot-term advisory — a peer overloaded by a high-df term tells
-/// owners to index an analogously important term instead).
-#[must_use]
-pub fn select_terms_excluding(
-    doc: &Document,
-    stats: &HashMap<TermId, TermStat>,
-    budget: usize,
-    excluded: &std::collections::HashSet<TermId>,
-) -> Vec<TermId> {
-    select_terms_mode(doc, stats, budget, excluded, ScoreMode::Full)
-}
-
-/// [`select_terms_excluding`] under an explicit [`ScoreMode`] (ablation).
-#[must_use]
-pub fn select_terms_mode(
-    doc: &Document,
-    stats: &HashMap<TermId, TermStat>,
-    budget: usize,
-    excluded: &std::collections::HashSet<TermId>,
+    excluded: &HashSet<TermId>,
     mode: ScoreMode,
 ) -> Vec<TermId> {
     // Every queried term (QF ≥ 1) is a candidate: `log₁₀(1) = 0`, but a
@@ -162,7 +142,7 @@ pub fn algorithm1(
     budget: usize,
 ) -> Vec<TermId> {
     update_stats(doc, stats, new_queries);
-    select_terms(doc, stats, budget)
+    select_terms(doc, stats, budget, &HashSet::new(), ScoreMode::Full)
 }
 
 /// Naive reference (§5.3's "basic idea"): recompute every statistic from
@@ -172,7 +152,7 @@ pub fn algorithm1(
 pub fn naive_select(doc: &Document, all_queries: &[Query], budget: usize) -> Vec<TermId> {
     let mut stats = HashMap::new();
     update_stats(doc, &mut stats, all_queries);
-    select_terms(doc, &stats, budget)
+    select_terms(doc, &stats, budget, &HashSet::new(), ScoreMode::Full)
 }
 
 #[cfg(test)]
@@ -261,7 +241,7 @@ mod tests {
         // Only term 3 has a positive score.
         let mut stats = HashMap::new();
         stats.insert(TermId(3), TermStat { qs: 0.5, qf: 10 });
-        let chosen = select_terms(&d, &stats, 3);
+        let chosen = select_terms(&d, &stats, 3, &HashSet::new(), ScoreMode::Full);
         assert_eq!(chosen[0], TermId(3));
         // Padding: most frequent first (1, then 2).
         assert_eq!(&chosen[1..], [TermId(1), TermId(2)]);
@@ -273,12 +253,34 @@ mod tests {
         let mut stats = HashMap::new();
         stats.insert(TermId(1), TermStat { qs: 1.0, qf: 100 });
         stats.insert(TermId(2), TermStat { qs: 0.9, qf: 100 });
-        let chosen = select_terms(&d, &stats, 1);
+        let chosen = select_terms(&d, &stats, 1, &HashSet::new(), ScoreMode::Full);
         assert_eq!(chosen, [TermId(1)]);
-        let chosen2 = select_terms(&d, &stats, 5);
+        let chosen2 = select_terms(&d, &stats, 5, &HashSet::new(), ScoreMode::Full);
         assert_eq!(chosen2.len(), 2, "only 2 distinct terms exist");
-        let set: std::collections::HashSet<_> = chosen2.iter().collect();
+        let set: HashSet<_> = chosen2.iter().collect();
         assert_eq!(set.len(), chosen2.len());
+    }
+
+    #[test]
+    fn score_modes_disagree_and_exclusions_hold_in_every_mode() {
+        // Term 1 is asked often by queries that fit the document badly,
+        // term 2 rarely by one that fits it well: QF alone prefers 1, the
+        // paper's Score (0.9 · log 4 > 0.1 · log 40) and qScore alone 2.
+        let d = doc(&[(1, 3), (2, 3), (3, 9)]);
+        let mut stats = HashMap::new();
+        stats.insert(TermId(1), TermStat { qs: 0.1, qf: 40 });
+        stats.insert(TermId(2), TermStat { qs: 0.9, qf: 4 });
+        let none = HashSet::new();
+        let pick = |excluded: &HashSet<TermId>, mode| select_terms(&d, &stats, 1, excluded, mode);
+        assert_eq!(pick(&none, ScoreMode::Full), [TermId(2)]);
+        assert_eq!(pick(&none, ScoreMode::QScoreOnly), [TermId(2)]);
+        assert_eq!(pick(&none, ScoreMode::QfOnly), [TermId(1)]);
+        // The advisory's veto holds whatever the mode: the next-best
+        // scored term steps in, then the frequency padding.
+        let vetoed = HashSet::from([TermId(1)]);
+        assert_eq!(pick(&vetoed, ScoreMode::QfOnly), [TermId(2)]);
+        let both = HashSet::from([TermId(1), TermId(2)]);
+        assert_eq!(pick(&both, ScoreMode::QfOnly), [TermId(3)]);
     }
 
     #[test]

@@ -46,8 +46,8 @@ pub use experiment::{
     SeriesPoint, UpdateCost, World, WorldConfig,
 };
 pub use learn::{
-    algorithm1, naive_select, q_score, select_terms, select_terms_excluding, select_terms_mode,
-    term_score, term_score_with, update_stats, ScoreMode,
+    algorithm1, naive_select, q_score, select_terms, term_score, term_score_with, update_stats,
+    ScoreMode,
 };
 pub use metrics::{gini, LoadReport, PeerLoad};
 pub use peer::{CachedQuery, IndexEntry, IndexingState, OwnerDoc, TermStat};

@@ -9,17 +9,36 @@
 
 use std::collections::BTreeMap;
 
-use sprite_chord::{sim, ChurnEngine, ChurnEvent, MsgKind, NetStats, Phase, TickReport};
+use sprite_chord::{sim, ChurnEngine, ChurnEvent, MsgKind, NetStats, NullTrace, Phase, TickReport};
 use sprite_ir::{DocId, TermId};
-use sprite_util::{derive_rng, EventQueue, RingId};
+use sprite_util::{derive_rng, RingId};
 
 use crate::peer::{term_record_wire_size, IndexEntry};
-use crate::system::SpriteSystem;
+use crate::system::{Message, OpTrace, SpriteSystem};
 
-/// Destination-batched maintenance transfers awaiting a flush: per
-/// destination, the summed payload bytes and the records to install on
-/// delivery.
-type TransferBatch = BTreeMap<u128, (u64, Vec<(TermId, Vec<IndexEntry>)>)>;
+/// The transfers of one maintenance pass: per destination, the one
+/// message carrying every `(term, entries)` list the pass ships there
+/// (`BTreeMap`: deterministic send order).
+type Transfers = BTreeMap<u128, Message<(TermId, Vec<IndexEntry>)>>;
+
+/// Add the `entries` of `term` to the message bound for `dest`. That
+/// message merges records from many holders, so the sender is collapsed
+/// onto the destination for link sampling.
+fn add_transfer(transfers: &mut Transfers, dest: RingId, term: TermId, entries: Vec<IndexEntry>) {
+    let m = transfers.entry(dest.0).or_insert_with(|| Message {
+        origin: dest,
+        dest,
+        kind: MsgKind::Replication,
+        salt: sim::message_salt(dest.0 as u64, (dest.0 >> 64) as u64, 0x6d61_696e),
+        bytes: 0,
+        records: Vec::new(),
+    });
+    m.bytes += entries
+        .iter()
+        .map(|e| term_record_wire_size(term, e) as u64)
+        .sum::<u64>();
+    m.records.push((term, entries));
+}
 
 /// Report of a [`SpriteSystem::hot_term_advisory`] pass.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -130,20 +149,15 @@ impl SpriteSystem {
     /// copied; 0 when the peer held no state or has no live successor (the
     /// state is then lost with the departure).
     fn hand_over_indexing(&mut self, leaving: RingId) -> usize {
-        if self.indexing_state(leaving).is_none() {
+        let Some(state) = self.indexing_mut().remove(&leaving.0) else {
             return 0;
-        }
+        };
         let mut delta = NetStats::new();
         let chain = self.net().replicas_from_owner(leaving, 2, &mut delta);
         self.net_mut().absorb_stats(&delta);
         let Some(&heir) = chain.get(1) else {
-            self.indexing_mut().remove(&leaving.0);
-            return 0;
+            return 0; // no live successor: the state leaves with the peer
         };
-        let state = self
-            .indexing_mut()
-            .remove(&leaving.0)
-            .expect("checked above");
         // The leaver ships its full holdings over the wire, whether or not
         // the heir already mirrors some of them — bill the shipped payload.
         let shipped_bytes: u64 = state
@@ -188,8 +202,9 @@ impl SpriteSystem {
     /// compacted live lists then flow to successor replicas through this
     /// same round's replication pass (per-entry
     /// [`MsgKind::Replication`], delivery-gated through
-    /// [`Self::flush_transfer_batch`]), so a reclaimed entry can never
-    /// resurrect via replica repair. Runs first in the round, so no
+    /// [`Self::deliver`]), so a reclaimed entry cannot come back from a
+    /// member of its replica set (a copy a join pushed *out* of the set
+    /// still can — ROADMAP item 1). Runs first in the round, so no
     /// tombstone survives a single `maintenance_round` at a live peer.
     /// Returns entries reclaimed across all peers.
     fn reclaim_tombstones(&mut self) -> usize {
@@ -219,9 +234,7 @@ impl SpriteSystem {
     /// are shipped over (the old holder keeps its copy, which now acts as
     /// a replica). Returns entries newly added at their proper owners.
     fn republish_orphans(&mut self) -> usize {
-        // dest peer → (summed payload bytes, records), flushed as one
-        // transfer message per destination (BTreeMap: deterministic order).
-        let mut batch: TransferBatch = BTreeMap::new();
+        let mut transfers = Transfers::new();
         let holders = self.holder_snapshot();
         for (holder, terms) in holders {
             if !self.net().contains(RingId(holder)) {
@@ -240,60 +253,36 @@ impl SpriteSystem {
                     .indexing_state(RingId(holder))
                     .map(|st| st.entries(term))
                     .unwrap_or_default();
-                if entries.is_empty() {
-                    continue;
+                if !entries.is_empty() {
+                    add_transfer(&mut transfers, lookup.owner, term, entries);
                 }
-                let bytes: u64 = entries
-                    .iter()
-                    .map(|e| term_record_wire_size(term, e) as u64)
-                    .sum();
-                let slot = batch
-                    .entry(lookup.owner.0)
-                    .or_insert_with(|| (0, Vec::new()));
-                slot.0 += bytes;
-                slot.1.push((term, entries)); // installed (or lost) at flush time
             }
         }
-        // All of one destination's re-homed records travel as a single
-        // in-flight transfer through the event scheduler.
-        self.flush_transfer_batch(batch, true)
+        self.send_transfers(transfers, true)
     }
 
-    /// Flush dest-batched maintenance transfers through the event
-    /// scheduler: each destination's records travel as one in-flight
-    /// message planned through the delivery layer — drops bill real
-    /// [`MsgKind::Timeout`]s and a drowned message installs nothing, while
-    /// the perfect default delivers every slot at `t = 0` in key order,
-    /// reproducing the lockstep flush. Returns installed entries: only
-    /// newly-added ones when `count_new` (the orphan pass), else every
-    /// delivered record (the replication pass bills data moved).
-    fn flush_transfer_batch(&mut self, batch: TransferBatch, count_new: bool) -> usize {
-        let mut queue = EventQueue::new();
-        for (dest, (bytes, records)) in batch {
-            // A dest-batched transfer merges many holders into one message,
-            // so the sender is collapsed onto the destination for link
-            // sampling.
-            let salt = sim::message_salt(dest as u64, (dest >> 64) as u64, 0x6d61_696e);
-            let (arrival, drops, delivered) =
-                match self.net().plan_delivery(RingId(dest), RingId(dest), salt) {
-                    Ok((arrival, drops)) => (arrival, drops, true),
-                    Err(drops) => (0, drops, false),
-                };
-            queue.push(arrival, (dest, bytes, records, drops, delivered));
-        }
+    /// Send a maintenance pass's transfers through [`Self::deliver`] and
+    /// store what arrives. The round's trace is the span diff of
+    /// `NetStats`, so the delivery itself runs untraced. Returns installed
+    /// entries: only newly-added ones when `count_new` (the orphan pass),
+    /// else every delivered record (the replication pass bills data
+    /// moved).
+    fn send_transfers(&mut self, transfers: Transfers, count_new: bool) -> usize {
+        let mut op = OpTrace {
+            phase: Phase::Maintenance,
+            tick: 0,
+            sink: &mut NullTrace,
+        };
+        let mut arrived = BTreeMap::new();
+        self.deliver(transfers.into_values(), &mut op, &mut arrived);
         let mut installed = 0;
-        while let Some((_, (dest, bytes, records, drops, delivered))) = queue.pop() {
-            if drops > 0 {
-                self.net_mut().charge_n(MsgKind::Timeout, drops);
-            }
-            if !delivered {
-                continue; // the transfer drowned; nothing arrives
-            }
-            self.net_mut().charge(MsgKind::Replication);
-            self.net_mut().charge_bytes(MsgKind::Replication, bytes);
+        for (dest, records) in arrived {
             let st = self.indexing_entry(RingId(dest));
             for (term, entries) in records {
                 let before = st.indexed_df(term);
+                // One `publish` per record, as ever: one run merge per
+                // list (`publish_run`) is ROADMAP item 3 step (2), due
+                // after the benchmark's `churn-repair` is re-sized for it.
                 for &e in &entries {
                     st.publish(term, e);
                 }
@@ -338,10 +327,7 @@ impl SpriteSystem {
         if degree <= 1 {
             return 0;
         }
-        // dest replica → (summed payload bytes, records), flushed as one
-        // message per destination after the walk (BTreeMap: deterministic
-        // flush order).
-        let mut batch: TransferBatch = BTreeMap::new();
+        let mut transfers = Transfers::new();
         let holders = self.holder_snapshot();
         for (holder, terms) in holders {
             if !self.net().contains(RingId(holder)) {
@@ -365,26 +351,17 @@ impl SpriteSystem {
                 if entries.is_empty() {
                     continue;
                 }
-                let bytes: u64 = entries
-                    .iter()
-                    .map(|e| term_record_wire_size(term, e) as u64)
-                    .sum();
                 let mut delta = NetStats::new();
-                let replicas: Vec<RingId> = self
+                let replicas = self
                     .net()
-                    .replicas_from_owner(lookup.owner, degree, &mut delta)
-                    .into_iter()
-                    .skip(1)
-                    .collect();
+                    .replicas_from_owner(lookup.owner, degree, &mut delta);
                 self.net_mut().absorb_stats(&delta);
-                for replica in replicas {
-                    let slot = batch.entry(replica.0).or_insert_with(|| (0, Vec::new()));
-                    slot.0 += bytes;
-                    slot.1.push((term, entries.clone())); // installed (or lost) at flush time
+                for &replica in replicas.iter().skip(1) {
+                    add_transfer(&mut transfers, replica, term, entries.clone());
                 }
             }
         }
-        self.flush_transfer_batch(batch, false)
+        self.send_transfers(transfers, false)
     }
 
     /// §7 load balancing: indexing peers report terms whose indexed
@@ -437,37 +414,21 @@ impl SpriteSystem {
         report
     }
 
-    /// Apply one advisory: the owner of `doc` drops `term`, excludes it
-    /// from future learning, and republishes its next-best candidate.
-    /// Returns true if a replacement was published.
+    /// Apply one advisory: the owner of `doc` excludes `term` from its
+    /// future selections and, if it publishes it, replaces it by its
+    /// next-best candidate. Returns true if a replacement was published.
     fn apply_advisory(&mut self, doc: DocId, term: TermId) -> bool {
-        if !self.owner_state(doc).published.contains(&term) {
-            // Stale advisory (e.g. the owner already replaced the term).
-            self.owner_mut(doc).excluded.insert(term);
-            return false;
+        self.owner_mut(doc).excluded.insert(term);
+        let mut terms = self.published_terms(doc).to_vec();
+        let held = terms.len();
+        terms.retain(|&t| t != term);
+        if terms.len() == held {
+            return false; // stale advisory: the owner already replaced the term
         }
-        self.remove_term(doc, term);
-        {
-            let owner = self.owner_mut(doc);
-            owner.published.retain(|&t| t != term);
-            owner.excluded.insert(term);
-        }
-        // Next-best candidate under the exclusion.
-        let budget = self.owner_state(doc).published.len() + 1;
-        let candidates = {
-            let d = self.corpus().doc(doc).clone();
-            let owner = self.owner_state(doc);
-            crate::learn::select_terms_excluding(&d, &owner.stats, budget, &owner.excluded)
-        };
-        let published = self.owner_state(doc).published.clone();
-        for t in candidates {
-            if !published.contains(&t) {
-                self.publish_term(doc, t);
-                self.owner_mut(doc).published.push(t);
-                return true;
-            }
-        }
-        false
+        let candidates = self.select_terms(doc, held);
+        terms.extend(candidates.into_iter().find(|t| !terms.contains(t)));
+        let (added, _) = self.set_published_now(doc, terms, false, self.op_tick);
+        added > 0
     }
 }
 

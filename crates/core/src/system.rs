@@ -112,67 +112,53 @@ pub struct SpriteSystem {
     /// default — makes every operation run its untraced, zero-overhead
     /// monomorphization.
     tracer: Option<TraceRecorder>,
-    /// Logical clock stamped on trace events: advances once per top-level
-    /// operation (publish pass, query, learning iteration), tracing on or
-    /// off, so enabling tracing cannot shift any behavior.
-    trace_tick: u64,
+    /// Logical operation clock: advances once per top-level operation
+    /// (publish pass, query, learning iteration, document event). It is
+    /// stamped on trace events, but it also seeds every delivery salt of
+    /// the operation — which is why it advances with tracing on or off.
+    pub(crate) op_tick: u64,
 }
 
-/// Accumulator of the destination-batched publication pipeline (§5 cost
-/// reduction): per `(origin peer, destination peer, message kind)`, the
-/// records and summed payload bytes bound for one batched message.
-/// Records encode independently, so the batch payload is exactly the sum
-/// of the per-record wire sizes the unbatched path would have charged —
-/// batching changes message counts only, never byte totals. A `BTreeMap`
-/// keeps the flush order deterministic without an explicit sort.
-///
-/// The batch carries the *records themselves*, not just their count:
-/// installation at the indexing peer is gated on the batch message
-/// actually arriving — a drowned batch leaves a real hole in the index.
-/// The flush hands the records of every delivered slot, in arrival order,
-/// to [`SpriteSystem::install`], which merges them into each inverted
-/// list once; because [`IndexingState::publish`] is an order-independent
-/// sorted insert, that is the state per-record installs would reach.
-#[derive(Debug, Default)]
-pub(crate) struct PublishBatch {
-    /// (origin, destination, kind code) → (records, payload bytes).
-    slots: BTreeMap<(u128, u128, u8), BatchSlot>,
+/// One application message of the write path, as [`SpriteSystem::deliver`]
+/// takes it: index records travelling `origin → dest` as one billed
+/// message of `kind`. A record sent on its own is a message of one;
+/// [`SpriteSystem::publish_all`] and the maintenance passes fold the
+/// records bound for one destination into one message. Records encode
+/// independently, so `bytes` is the sum of their wire sizes either way —
+/// batching changes message counts only, never byte totals. The message
+/// carries the *records themselves*: installation at the indexing peer is
+/// gated on the message actually arriving, so a drowned one leaves a real
+/// hole in the index. `R` is how the sender holds them: `(term, entry)`
+/// pairs on the publish path, a whole `(term, entries)` list per item in
+/// a maintenance transfer.
+#[derive(Debug)]
+pub(crate) struct Message<R = (TermId, IndexEntry)> {
+    pub(crate) origin: RingId,
+    pub(crate) dest: RingId,
+    pub(crate) kind: MsgKind,
+    /// Distinguishes this message on its link (see DESIGN §10 for who
+    /// salts with what).
+    pub(crate) salt: u64,
+    /// Summed wire size of `records`.
+    pub(crate) bytes: u64,
+    pub(crate) records: Vec<R>,
 }
-
-/// One batched message in flight: the index records it carries and their
-/// summed payload bytes.
-type BatchSlot = (Vec<(TermId, IndexEntry)>, u64);
 
 /// Index records that reached their indexing peer and await installation:
 /// per destination, the `(term, entry)` records in arrival order. Always a
-/// local of one top-level operation (a batch flush, a learning pass, a
-/// single-record publish), handed to [`SpriteSystem::install`] before it
+/// local of one top-level operation (a publish pass, a learning pass, a
+/// document's diff), handed to [`SpriteSystem::install`] before it
 /// returns — never stored, so between operations every delivered record is
 /// in the index.
 type Installs = BTreeMap<u128, Vec<(TermId, IndexEntry)>>;
 
-/// Kind codes used as `PublishBatch` keys (only data-bearing bulk kinds
-/// are ever batched).
-const BATCH_PUBLISH: u8 = 0;
-const BATCH_REPLICATION: u8 = 1;
-
-impl PublishBatch {
-    fn add(
-        &mut self,
-        origin: RingId,
-        dest: RingId,
-        code: u8,
-        term: TermId,
-        entry: IndexEntry,
-        bytes: u64,
-    ) {
-        let slot = self
-            .slots
-            .entry((origin.0, dest.0, code))
-            .or_insert_with(|| (Vec::new(), 0));
-        slot.0.push((term, entry));
-        slot.1 += bytes;
-    }
+/// What the charges of one write operation are stamped with: its phase,
+/// its operation tick (which also seeds the delivery salts) and the sink
+/// observing it.
+pub(crate) struct OpTrace<'a, T: TraceSink> {
+    pub(crate) phase: Phase,
+    pub(crate) tick: u64,
+    pub(crate) sink: &'a mut T,
 }
 
 /// Run `$body` with the installed tracer as `$sink` (temporarily moved out
@@ -232,7 +218,7 @@ impl SpriteSystem {
             true_dfs: None,
             replica_cache: HashMap::new(),
             tracer: None,
-            trace_tick: 0,
+            op_tick: 0,
         }
     }
 
@@ -260,11 +246,10 @@ impl SpriteSystem {
         self.tracer.as_ref()
     }
 
-    /// Advance the logical trace clock (once per top-level operation,
-    /// tracing on or off).
+    /// Advance the operation clock (once per top-level operation).
     fn next_tick(&mut self) -> u64 {
-        let t = self.trace_tick;
-        self.trace_tick += 1;
+        let t = self.op_tick;
+        self.op_tick += 1;
         t
     }
 
@@ -474,35 +459,40 @@ impl SpriteSystem {
         )
     }
 
-    /// The §7 replica set of `key` (owner first), resolved by walking the
-    /// routed owner's successor chain and memoized per key: many documents
-    /// publish the same term, and the walk is identical for all of them
-    /// until churn. The walk's Maintenance/Timeout probes are charged on
-    /// first resolution only — a peer remembering the replica set it just
-    /// learned, exactly like a real cache.
+    /// Where a record of `key` lives: the routed `owner`, then — at
+    /// replication degree > 1 — the further members of the §7 replica set,
+    /// resolved by walking the owner's successor chain and memoized per
+    /// key: many documents publish the same term, and the walk is
+    /// identical for all of them until churn. The walk's
+    /// Maintenance/Timeout probes are charged on first resolution only — a
+    /// peer remembering the replica set it just learned, exactly like a
+    /// real cache. Mid-churn a later route may resolve the key to another
+    /// owner than the one the set was walked from; that route's owner
+    /// still comes first, followed by the remembered successors.
     fn replicas_of<T: TraceSink>(
         &mut self,
         key: RingId,
         owner: RingId,
-        phase: Phase,
-        tick: u64,
-        sink: &mut T,
+        op: &mut OpTrace<'_, T>,
     ) -> Vec<RingId> {
-        if let Some(r) = self.replica_cache.get(&key.0) {
-            return r.clone();
+        if self.cfg.replication <= 1 {
+            return vec![owner];
         }
-        let mut delta = NetStats::new();
-        let r = self.net.replicas_from_owner_traced(
-            owner,
-            self.cfg.replication,
-            &mut delta,
-            phase,
-            tick,
-            sink,
-        );
-        self.net.absorb_stats(&delta);
-        self.replica_cache.insert(key.0, r.clone());
-        r
+        if !self.replica_cache.contains_key(&key.0) {
+            let mut delta = NetStats::new();
+            let walked = self.net.replicas_from_owner_traced(
+                owner,
+                self.cfg.replication,
+                &mut delta,
+                op.phase,
+                op.tick,
+                op.sink,
+            );
+            self.net.absorb_stats(&delta);
+            self.replica_cache.insert(key.0, walked);
+        }
+        let successors = self.replica_cache[&key.0].iter().skip(1);
+        std::iter::once(owner).chain(successors.copied()).collect()
     }
 
     /// MD5 of a query's canonical form (sorted term strings joined by a
@@ -522,16 +512,23 @@ impl SpriteSystem {
     }
 
     // ------------------------------------------------------------------
-    // Document sharing
+    // The write path: one diff, one `deliver`, one `install`
     // ------------------------------------------------------------------
 
     /// Publish the initial global index terms (top-F frequent, §5.2) for
     /// every document. Idempotent per document: already-published documents
-    /// are skipped.
+    /// are skipped. The bulk share is the one caller that batches (§5 cost
+    /// reduction): all records bound `origin → destination` under one kind
+    /// ride one message, salted per slot.
     pub fn publish_all(&mut self) {
         let tick = self.next_tick();
         traced!(self, sink, {
-            let (mut batch, mut installs) = (PublishBatch::default(), Installs::new());
+            let phase = Phase::Publish;
+            let mut op = OpTrace { phase, tick, sink };
+            let mut outbox = Vec::new();
+            // (origin, destination, replica copy?) → the batched message;
+            // a `BTreeMap` fixes the slot order without an explicit sort.
+            let mut slots: BTreeMap<(u128, u128, bool), Message> = BTreeMap::new();
             for i in 0..self.corpus.len() {
                 let doc = DocId(i as u32);
                 if self.deleted[i] || !self.owners[i].published.is_empty() {
@@ -541,137 +538,217 @@ impl SpriteSystem {
                     .corpus
                     .doc(doc)
                     .top_frequent_terms(self.cfg.initial_terms);
-                for &t in &initial {
-                    self.publish_term_impl(
-                        doc,
-                        t,
-                        Phase::Publish,
-                        tick,
-                        sink,
-                        Some(&mut batch),
-                        &mut installs,
-                    );
+                self.set_published(doc, initial, false, &mut op, &mut outbox);
+                for m in outbox.drain(..) {
+                    let (dest, replica) = (m.dest.0, m.kind == MsgKind::Replication);
+                    let link = dest as u64 ^ (dest >> 64) as u64;
+                    let slot = slots.entry((m.origin.0, dest, replica)).or_insert(Message {
+                        salt: sim::message_salt(tick, link, u64::from(replica)),
+                        bytes: 0,
+                        records: Vec::new(),
+                        ..m
+                    });
+                    slot.bytes += m.bytes;
+                    slot.records.extend(m.records);
                 }
-                self.owners[i].published = initial;
-                self.debug_validate_owner(doc);
             }
-            self.flush_publish_batch(batch, &mut installs, Phase::Publish, tick, sink);
+            let mut installs = Installs::new();
+            self.deliver(slots.into_values(), &mut op, &mut installs);
             self.install(installs);
         });
     }
 
-    /// Publish one `(doc, term)` index entry: route to the responsible
-    /// peer, store the §5.1 metadata there, replicate if configured.
-    pub(crate) fn publish_term(&mut self, doc: DocId, term: TermId) {
-        let tick = self.trace_tick;
-        traced!(
-            self,
-            sink,
-            self.publish_term_with(doc, term, Phase::Publish, tick, sink)
-        );
+    /// The one diff of the write path: make `terms` the published global
+    /// index terms of `doc`. Ships a record for every term the document
+    /// did not publish yet (onto `outbox` — the caller owns delivery and
+    /// installation), retracts every term it drops — eagerly, or by
+    /// tombstone when `lazy` (see [`Self::retract_record`]) — stores the
+    /// new set and returns `(added, removed)`.
+    fn set_published<T: TraceSink>(
+        &mut self,
+        doc: DocId,
+        terms: Vec<TermId>,
+        lazy: bool,
+        op: &mut OpTrace<'_, T>,
+        outbox: &mut Vec<Message>,
+    ) -> (usize, usize) {
+        let old = std::mem::take(&mut self.owners[doc.index()].published);
+        let (mut added, mut removed) = (0, 0);
+        for &t in &terms {
+            if !old.contains(&t) {
+                self.ship_record(doc, t, op, outbox);
+                added += 1;
+            }
+        }
+        for &t in &old {
+            if !terms.contains(&t) {
+                self.retract_record(doc, t, lazy, op);
+                removed += 1;
+            }
+        }
+        self.owners[doc.index()].published = terms;
+        self.debug_validate_owner(doc);
+        (added, removed)
     }
 
-    /// [`Self::publish_term`] under an explicit phase/sink — the traced
-    /// core every publishing caller (initial share, learning diff,
-    /// advisory replacement) funnels through.
-    fn publish_term_with<T: TraceSink>(
+    /// [`Self::set_published`] as a whole operation of [`Phase::Publish`]:
+    /// diff, deliver each shipped record as a message of its own, install
+    /// what arrived. Document lifecycle events and the §7 advisory change
+    /// one document at a time, so there is nothing to batch — that is the
+    /// paper's cost model for them, as it is for the learning diff.
+    pub(crate) fn set_published_now(
+        &mut self,
+        doc: DocId,
+        terms: Vec<TermId>,
+        lazy: bool,
+        tick: u64,
+    ) -> (usize, usize) {
+        traced!(self, sink, {
+            let phase = Phase::Publish;
+            let mut op = OpTrace { phase, tick, sink };
+            let (mut outbox, mut installs) = (Vec::new(), Installs::new());
+            let diff = self.set_published(doc, terms, lazy, &mut op, &mut outbox);
+            self.deliver(outbox, &mut op, &mut installs);
+            self.install(installs);
+            diff
+        })
+    }
+
+    /// Ship one `(doc, term)` index record with its §5.1 metadata: route
+    /// to the term's indexing peer and queue one message per member of
+    /// the replica set on `outbox` — [`MsgKind::IndexPublish`] to the
+    /// routed peer, salted by the term's key, and
+    /// [`MsgKind::Replication`] to every further replica, salted by the
+    /// replica. A term that cannot be routed (heavy churn) ships nothing.
+    fn ship_record<T: TraceSink>(
         &mut self,
         doc: DocId,
         term: TermId,
-        phase: Phase,
-        tick: u64,
-        sink: &mut T,
+        op: &mut OpTrace<'_, T>,
+        outbox: &mut Vec<Message>,
     ) {
-        let mut installs = Installs::new();
-        self.publish_term_impl(doc, term, phase, tick, sink, None, &mut installs);
-        self.install(installs);
-    }
-
-    /// The publishing core. With `batch: None`, every record is its own
-    /// message (plus its payload bytes), sent through the delivery layer
-    /// immediately; the records that arrive are pushed onto `installs`.
-    /// With a batch, routing and payload bytes are identical, but the
-    /// message charges and the delivery verdict are deferred into the
-    /// accumulator for a per-destination flush through the event scheduler
-    /// and `installs` is left alone. Either way the caller owns the moment
-    /// of installation ([`Self::install`]): under loss a drowned message
-    /// leaves its records unindexed, and at any loss rate the index
-    /// contents cannot depend on when the survivors are merged in, because
-    /// [`IndexingState::publish`] is an order-independent sorted insert.
-    #[allow(clippy::too_many_arguments)]
-    fn publish_term_impl<T: TraceSink>(
-        &mut self,
-        doc: DocId,
-        term: TermId,
-        phase: Phase,
-        tick: u64,
-        sink: &mut T,
-        mut batch: Option<&mut PublishBatch>,
-        installs: &mut Installs,
-    ) {
-        let owner_peer = self.doc_owner[doc.index()];
+        let origin = self.doc_owner[doc.index()];
         let key = self.term_ring(term);
         let Ok(lookup) = self
             .net
-            .lookup_fast_traced(owner_peer, key, phase, tick, sink)
+            .lookup_fast_traced(origin, key, op.phase, op.tick, op.sink)
         else {
-            return; // unroutable during heavy churn; retried on next iteration
+            return;
         };
         let d = self.corpus.doc(doc);
         let entry = IndexEntry {
             doc,
-            owner: owner_peer,
+            owner: origin,
             tf: d.freq(term),
             doc_len: d.len(),
             distinct: d.distinct_terms() as u32,
         };
-        let record = term_record_wire_size(term, &entry) as u64;
-        match batch.as_deref_mut() {
-            Some(b) => b.add(owner_peer, lookup.owner, BATCH_PUBLISH, term, entry, record),
-            None => {
-                let salt = sim::message_salt(tick, key.0 as u64, u64::from(doc.0));
-                if self.send_record(
-                    owner_peer,
-                    lookup.owner,
-                    MsgKind::IndexPublish,
-                    record,
-                    salt,
-                    phase,
-                    tick,
-                    sink,
-                ) {
-                    installs
-                        .entry(lookup.owner.0)
-                        .or_default()
-                        .push((term, entry));
+        let bytes = term_record_wire_size(term, &entry) as u64;
+        let replicas = self.replicas_of(key, lookup.owner, op);
+        for (i, dest) in replicas.into_iter().enumerate() {
+            let (kind, link) = if i == 0 {
+                (MsgKind::IndexPublish, key.0 as u64)
+            } else {
+                (MsgKind::Replication, dest.0 as u64)
+            };
+            outbox.push(Message {
+                origin,
+                dest,
+                kind,
+                salt: sim::message_salt(op.tick, link, u64::from(doc.0)),
+                bytes,
+                records: vec![(term, entry)],
+            });
+        }
+    }
+
+    /// Retract one `(doc, term)` index record: route to the term's
+    /// indexing peer, bill one [`MsgKind::IndexRemove`] plus the removal
+    /// record's exact wire bytes at every member of the replica set, and
+    /// take the entry out of each index — eagerly (`lazy = false`, a term
+    /// replaced by learning or the advisory: the stored list is rewritten
+    /// on the spot) or lazily (`lazy = true`, document delete / update /
+    /// republish: the entry is tombstoned and the next
+    /// `maintenance_round` reclaims it). The record on the wire is the
+    /// same either way; only the indexing peer's local write strategy
+    /// differs. Removals are reliable control messages: they do not pass
+    /// through [`Self::deliver`].
+    fn retract_record<T: TraceSink>(
+        &mut self,
+        doc: DocId,
+        term: TermId,
+        lazy: bool,
+        op: &mut OpTrace<'_, T>,
+    ) {
+        let origin = self.doc_owner[doc.index()];
+        let key = self.term_ring(term);
+        let Ok(lookup) = self
+            .net
+            .lookup_fast_traced(origin, key, op.phase, op.tick, op.sink)
+        else {
+            return;
+        };
+        let bytes = removal_wire_size(term, doc) as u64;
+        for peer in self.replicas_of(key, lookup.owner, op) {
+            self.net
+                .charge_traced(MsgKind::IndexRemove, op.phase, op.tick, peer, op.sink);
+            self.net
+                .charge_bytes_traced(MsgKind::IndexRemove, bytes, op.sink);
+            if let Some(st) = self.indexing.get_mut(&peer.0) {
+                if lazy {
+                    st.tombstone(term, doc);
+                } else {
+                    st.remove(term, doc);
                 }
             }
         }
-        if self.cfg.replication > 1 {
-            for peer in self
-                .replicas_of(key, lookup.owner, phase, tick, sink)
-                .into_iter()
-                .skip(1)
-            {
-                match batch.as_deref_mut() {
-                    Some(b) => b.add(owner_peer, peer, BATCH_REPLICATION, term, entry, record),
-                    None => {
-                        let salt = sim::message_salt(tick, peer.0 as u64, u64::from(doc.0));
-                        if self.send_record(
-                            owner_peer,
-                            peer,
-                            MsgKind::Replication,
-                            record,
-                            salt,
-                            phase,
-                            tick,
-                            sink,
-                        ) {
-                            installs.entry(peer.0).or_default().push((term, entry));
-                        }
-                    }
-                }
+    }
+
+    /// The one delivery of the write path, and the only application
+    /// caller of [`ChordNet::plan_delivery`]: every message is planned
+    /// through the network model, scheduled at its modeled arrival time
+    /// and processed in `(arrival, seq)` order. Each dropped transmission
+    /// bills one real [`MsgKind::Timeout`]; a message that got through
+    /// bills its kind once plus its payload bytes, and its records join
+    /// `installs` under its destination. A drowned message bills only its
+    /// timeouts and its records never arrive — the index genuinely loses
+    /// them. On the perfect default every arrival is `t = 0`, so messages
+    /// are processed in the order given.
+    pub(crate) fn deliver<T: TraceSink, R>(
+        &mut self,
+        messages: impl IntoIterator<Item = Message<R>>,
+        op: &mut OpTrace<'_, T>,
+        installs: &mut BTreeMap<u128, Vec<R>>,
+    ) {
+        let mut queue = EventQueue::new();
+        for m in messages {
+            debug_assert!(
+                matches!(m.kind, MsgKind::IndexPublish | MsgKind::Replication),
+                "only data-bearing index records travel through `deliver`"
+            );
+            match self.net.plan_delivery(m.origin, m.dest, m.salt) {
+                Ok((arrival, drops)) => queue.push(arrival, (m, drops, true)),
+                Err(drops) => queue.push(0, (m, drops, false)),
             }
+        }
+        while let Some((_, (m, drops, delivered))) = queue.pop() {
+            if drops > 0 {
+                self.net.charge_n_traced(
+                    MsgKind::Timeout,
+                    op.phase,
+                    op.tick,
+                    m.dest,
+                    drops,
+                    op.sink,
+                );
+            }
+            if !delivered {
+                continue;
+            }
+            self.net
+                .charge_traced(m.kind, op.phase, op.tick, m.dest, op.sink);
+            self.net.charge_bytes_traced(m.kind, m.bytes, op.sink);
+            installs.entry(m.dest.0).or_default().extend(m.records);
         }
     }
 
@@ -707,111 +784,14 @@ impl SpriteSystem {
         }
     }
 
-    /// Send one data-bearing record `origin → dest` through the delivery
-    /// layer: dropped transmissions bill real [`MsgKind::Timeout`]s, a
-    /// delivered message bills its kind plus payload bytes. Returns whether
-    /// the record arrived (the perfect default always delivers, with
-    /// charges identical to the pre-scheduler pipeline).
-    #[allow(clippy::too_many_arguments)]
-    fn send_record<T: TraceSink>(
-        &mut self,
-        origin: RingId,
-        dest: RingId,
-        kind: MsgKind,
-        bytes: u64,
-        salt: u64,
-        phase: Phase,
-        tick: u64,
-        sink: &mut T,
-    ) -> bool {
-        let (drops, delivered) = match self.net.plan_delivery(origin, dest, salt) {
-            Ok((_arrival, drops)) => (drops, true),
-            Err(drops) => (drops, false),
-        };
-        if drops > 0 {
-            self.net
-                .charge_n_traced(MsgKind::Timeout, phase, tick, dest, drops, sink);
-        }
-        if delivered {
-            self.net.charge_traced(kind, phase, tick, dest, sink);
-            self.net.charge_bytes_traced(kind, bytes, sink);
-        }
-        delivered
-    }
-
-    /// Flush a [`PublishBatch`] through the event scheduler: each
-    /// `(origin, destination, kind)` slot becomes one in-flight message
-    /// scheduled at its modeled arrival time and processed in `(time, seq)`
-    /// order. At zero latency every arrival is `t = 0` and pop order is
-    /// push (slot-key) order — exactly the lockstep flush this replaced.
-    /// A drowned slot bills only its retransmission timeouts: its records
-    /// are never installed, so the index genuinely loses them. The records
-    /// of every delivered slot join `installs` in arrival order.
-    fn flush_publish_batch<T: TraceSink>(
-        &mut self,
-        batch: PublishBatch,
-        installs: &mut Installs,
-        phase: Phase,
-        tick: u64,
-        sink: &mut T,
-    ) {
-        let mut queue = EventQueue::new();
-        for ((origin, dest, code), (records, bytes)) in batch.slots {
-            let salt = sim::message_salt(tick, dest as u64 ^ (dest >> 64) as u64, u64::from(code));
-            let (arrival, drops, delivered) =
-                match self.net.plan_delivery(RingId(origin), RingId(dest), salt) {
-                    Ok((arrival, drops)) => (arrival, drops, true),
-                    Err(drops) => (0, drops, false),
-                };
-            queue.push(arrival, (dest, code, records, bytes, drops, delivered));
-        }
-        while let Some((_, (dest, code, records, bytes, drops, delivered))) = queue.pop() {
-            let kind = if code == BATCH_PUBLISH {
-                MsgKind::IndexPublish
-            } else {
-                MsgKind::Replication
-            };
-            if drops > 0 {
-                self.net
-                    .charge_n_traced(MsgKind::Timeout, phase, tick, RingId(dest), drops, sink);
-            }
-            if !delivered {
-                continue; // the batch drowned; its records never arrive
-            }
-            self.net
-                .charge_traced(kind, phase, tick, RingId(dest), sink);
-            self.net.charge_bytes_traced(kind, bytes, sink);
-            installs.entry(dest).or_default().extend(records);
-        }
-    }
-
-    /// Retract one `(doc, term)` index entry from the responsible peer and
-    /// any replicas.
-    pub(crate) fn remove_term(&mut self, doc: DocId, term: TermId) {
-        let tick = self.trace_tick;
-        traced!(
-            self,
-            sink,
-            self.remove_term_with(doc, term, Phase::Publish, tick, sink)
-        );
-    }
-
     /// Retire `doc` from the distributed index: retract every published
-    /// `(doc, term)` entry from its responsible peer and any replicas —
-    /// each retraction billed as [`MsgKind::IndexRemove`] plus its wire
-    /// bytes through the traced charge path — then clear the owner's
-    /// published set so a later [`Self::publish_all`] republishes the
-    /// document from scratch. Returns the number of terms retracted.
+    /// `(doc, term)` entry eagerly from its responsible peer and any
+    /// replicas, leaving the owner's published set empty so a later
+    /// [`Self::publish_all`] republishes the document from scratch.
+    /// Returns the number of terms retracted.
     pub fn unpublish_document(&mut self, doc: DocId) -> usize {
-        let tick = self.trace_tick;
-        let terms = self.owners[doc.index()].published.clone();
-        traced!(self, sink, {
-            for &t in &terms {
-                self.remove_term_with(doc, t, Phase::Publish, tick, sink);
-            }
-        });
-        self.owners[doc.index()].published.clear();
-        terms.len()
+        let tick = self.op_tick;
+        self.set_published_now(doc, Vec::new(), false, tick).1
     }
 
     // ------------------------------------------------------------------
@@ -855,13 +835,7 @@ impl SpriteSystem {
             .corpus
             .doc(doc)
             .top_frequent_terms(self.cfg.initial_terms);
-        traced!(self, sink, {
-            for &t in &initial {
-                self.publish_term_with(doc, t, Phase::Publish, tick, sink);
-            }
-        });
-        self.owners[doc.index()].published = initial;
-        self.debug_validate_owner(doc);
+        self.set_published_now(doc, initial, true, tick);
         doc
     }
 
@@ -879,35 +853,16 @@ impl SpriteSystem {
     /// Panics if `doc` was deleted.
     pub fn update_document(&mut self, doc: DocId, terms: Vec<(TermId, u32)>) -> UpdateReport {
         assert!(!self.deleted[doc.index()], "cannot update deleted {doc:?}");
-        self.corpus.replace_document(doc, terms);
-        self.true_dfs = None;
-        let old = self.owners[doc.index()].published.clone();
-        {
-            let d = self.corpus.doc(doc);
-            let owner = &mut self.owners[doc.index()];
-            owner.stats.retain(|t, _| d.contains(*t));
-        }
-        let new_terms = self.reselect_terms(doc, old.len());
+        let earned = self.owners[doc.index()].published.len();
+        let new_terms = self.replace_contents(doc, terms, earned);
+        let selected = new_terms.len();
         let tick = self.next_tick();
-        let mut report = UpdateReport::default();
-        traced!(self, sink, {
-            for &t in &new_terms {
-                if !old.contains(&t) {
-                    self.publish_term_with(doc, t, Phase::Publish, tick, sink);
-                    report.terms_added += 1;
-                }
-            }
-            for &t in &old {
-                if !new_terms.contains(&t) {
-                    self.retract_term_with(doc, t, true, Phase::Publish, tick, sink);
-                    report.terms_removed += 1;
-                }
-            }
-        });
-        report.terms_kept = new_terms.len() - report.terms_added;
-        self.owners[doc.index()].published = new_terms;
-        self.debug_validate_owner(doc);
-        report
+        let (terms_added, terms_removed) = self.set_published_now(doc, new_terms, true, tick);
+        UpdateReport {
+            terms_added,
+            terms_removed,
+            terms_kept: selected - terms_added,
+        }
     }
 
     /// Modify a shared document the **expensive** way: retract every
@@ -922,34 +877,15 @@ impl SpriteSystem {
             !self.deleted[doc.index()],
             "cannot republish deleted {doc:?}"
         );
-        let old = self.owners[doc.index()].published.clone();
         let tick = self.next_tick();
-        traced!(self, sink, {
-            for &t in &old {
-                self.retract_term_with(doc, t, true, Phase::Publish, tick, sink);
-            }
-        });
-        self.corpus.replace_document(doc, terms);
-        self.true_dfs = None;
-        {
-            let d = self.corpus.doc(doc);
-            let owner = &mut self.owners[doc.index()];
-            owner.stats.retain(|t, _| d.contains(*t));
-        }
-        let new_terms = self.reselect_terms(doc, old.len());
-        traced!(self, sink, {
-            for &t in &new_terms {
-                self.publish_term_with(doc, t, Phase::Publish, tick, sink);
-            }
-        });
-        let report = UpdateReport {
-            terms_added: new_terms.len(),
-            terms_removed: old.len(),
+        let (_, terms_removed) = self.set_published_now(doc, Vec::new(), true, tick);
+        let new_terms = self.replace_contents(doc, terms, terms_removed);
+        let (terms_added, _) = self.set_published_now(doc, new_terms, true, tick);
+        UpdateReport {
+            terms_added,
+            terms_removed,
             terms_kept: 0,
-        };
-        self.owners[doc.index()].published = new_terms;
-        self.debug_validate_owner(doc);
-        report
+        }
     }
 
     /// Retire `doc` permanently: retract every published term
@@ -961,20 +897,14 @@ impl SpriteSystem {
         if self.deleted[doc.index()] {
             return 0;
         }
-        let terms = self.owners[doc.index()].published.clone();
         let tick = self.next_tick();
-        traced!(self, sink, {
-            for &t in &terms {
-                self.retract_term_with(doc, t, true, Phase::Publish, tick, sink);
-            }
-        });
+        let (_, retracted) = self.set_published_now(doc, Vec::new(), true, tick);
         let owner = &mut self.owners[doc.index()];
-        owner.published.clear();
         owner.stats.clear();
         owner.term_watermarks.clear();
         self.deleted[doc.index()] = true;
         self.true_dfs = None;
-        terms.len()
+        retracted
     }
 
     /// Apply one planned document-churn tick (a
@@ -1011,18 +941,36 @@ impl SpriteSystem {
         report
     }
 
-    /// Re-select the global index terms of `doc` after a content change:
-    /// the same [`learn::select_terms_mode`] the learning pass uses, at a
-    /// budget that preserves the document's earned term count (never
-    /// below the initial allocation, never above the cap). With no
-    /// learned statistics this degrades to pure top-frequent selection —
-    /// exactly the §5.2 seeding of a fresh document.
-    fn reselect_terms(&mut self, doc: DocId, earned: usize) -> Vec<TermId> {
-        let budget = earned.max(self.cfg.initial_terms).min(self.cfg.max_terms);
+    /// Replace the corpus contents of `doc`, drop the learned statistics
+    /// of terms the new version no longer contains, and re-select its
+    /// global index terms at a budget that preserves the `earned` term
+    /// count (never below the initial allocation, never above the cap).
+    /// With no learned statistics this degrades to pure top-frequent
+    /// selection — exactly the §5.2 seeding of a fresh document.
+    fn replace_contents(
+        &mut self,
+        doc: DocId,
+        terms: Vec<(TermId, u32)>,
+        earned: usize,
+    ) -> Vec<TermId> {
+        self.corpus.replace_document(doc, terms);
+        self.true_dfs = None;
         let d = self.corpus.doc(doc);
+        self.owners[doc.index()].stats.retain(|t, _| d.contains(*t));
+        self.select_terms(
+            doc,
+            earned.max(self.cfg.initial_terms).min(self.cfg.max_terms),
+        )
+    }
+
+    /// The top `budget` candidate index terms of `doc` under its owner's
+    /// current statistics and exclusions — the one selection every caller
+    /// (learning, content change, advisory) makes, in the configured
+    /// [`learn::ScoreMode`].
+    pub(crate) fn select_terms(&self, doc: DocId, budget: usize) -> Vec<TermId> {
         let owner = &self.owners[doc.index()];
-        learn::select_terms_mode(
-            d,
+        learn::select_terms(
+            self.corpus.doc(doc),
             &owner.stats,
             budget,
             &owner.excluded,
@@ -1035,84 +983,13 @@ impl SpriteSystem {
     /// the accounting sees (§7 local context analysis downloads the term
     /// vectors of the top-ranked documents from their owner peers).
     pub(crate) fn charge_doc_fetch_traced(&mut self, peer: RingId) {
-        let tick = self.trace_tick;
+        let tick = self.op_tick;
         traced!(
             self,
             sink,
             self.net
                 .charge_traced(MsgKind::QueryFetch, Phase::Query, tick, peer, sink)
         );
-    }
-
-    /// [`Self::remove_term`] under an explicit phase/sink (always eager).
-    fn remove_term_with<T: TraceSink>(
-        &mut self,
-        doc: DocId,
-        term: TermId,
-        phase: Phase,
-        tick: u64,
-        sink: &mut T,
-    ) {
-        self.retract_term_with(doc, term, false, phase, tick, sink);
-    }
-
-    /// The retraction core: route to the responsible peer, bill one
-    /// [`MsgKind::IndexRemove`] plus the record's exact wire bytes there
-    /// and at every replica, and take the entry out of each index —
-    /// eagerly (`lazy = false`, learning's term replacement: the stored
-    /// list is rewritten on the spot) or lazily (`lazy = true`, document
-    /// delete/update/republish: the entry is tombstoned and the next
-    /// `maintenance_round` reclaims it and reports it as reclaimed).
-    /// The removal record on the wire is identical either way; only the
-    /// indexing peer's local write strategy differs.
-    fn retract_term_with<T: TraceSink>(
-        &mut self,
-        doc: DocId,
-        term: TermId,
-        lazy: bool,
-        phase: Phase,
-        tick: u64,
-        sink: &mut T,
-    ) {
-        let owner_peer = self.doc_owner[doc.index()];
-        let key = self.term_ring(term);
-        let Ok(lookup) = self
-            .net
-            .lookup_fast_traced(owner_peer, key, phase, tick, sink)
-        else {
-            return;
-        };
-        let record = removal_wire_size(term, doc) as u64;
-        self.net
-            .charge_traced(MsgKind::IndexRemove, phase, tick, lookup.owner, sink);
-        self.net
-            .charge_bytes_traced(MsgKind::IndexRemove, record, sink);
-        if let Some(st) = self.indexing.get_mut(&lookup.owner.0) {
-            if lazy {
-                st.tombstone(term, doc);
-            } else {
-                st.remove(term, doc);
-            }
-        }
-        if self.cfg.replication > 1 {
-            for peer in self
-                .replicas_of(key, lookup.owner, phase, tick, sink)
-                .into_iter()
-                .skip(1)
-            {
-                self.net
-                    .charge_traced(MsgKind::IndexRemove, phase, tick, peer, sink);
-                self.net
-                    .charge_bytes_traced(MsgKind::IndexRemove, record, sink);
-                if let Some(st) = self.indexing.get_mut(&peer.0) {
-                    if lazy {
-                        st.tombstone(term, doc);
-                    } else {
-                        st.remove(term, doc);
-                    }
-                }
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1203,14 +1080,17 @@ impl SpriteSystem {
         if self.cfg.is_static() {
             return report;
         }
+        let phase = Phase::Learn;
+        let mut op = OpTrace { phase, tick, sink };
         let seq_now = self.query_seq;
-        // Each diff record is billed and delivery-gated on the spot; the
-        // ones that arrive are merged into the index when the pass ends.
-        // Nothing in a pass reads an inverted list — polls read the query
-        // caches, selection reads owner statistics, and the eager
-        // retractions hit `(term, document)` pairs disjoint from the
-        // additions — so the deferral is unobservable.
-        let mut installs = Installs::new();
+        // Each document's diff records are billed and delivery-gated on
+        // the spot, one message per record; the ones that arrive are
+        // merged into the index when the pass ends. Nothing in a pass
+        // reads an inverted list — polls read the query caches, selection
+        // reads owner statistics, and the eager retractions hit `(term,
+        // document)` pairs disjoint from the additions — so the deferral
+        // is unobservable.
+        let (mut outbox, mut installs) = (Vec::new(), Installs::new());
         for i in 0..self.corpus.len() {
             let doc = DocId(i as u32);
             let published = self.owners[i].published.clone();
@@ -1226,9 +1106,9 @@ impl SpriteSystem {
             let mut by_peer: HashMap<u128, Vec<TermId>> = HashMap::new();
             for &t in &published {
                 let key = self.term_ring(t);
-                if let Ok(l) =
-                    self.net
-                        .lookup_fast_traced(owner_peer, key, Phase::Learn, tick, sink)
+                if let Ok(l) = self
+                    .net
+                    .lookup_fast_traced(owner_peer, key, phase, tick, op.sink)
                 {
                     by_peer.entry(l.owner.0).or_default().push(t);
                 }
@@ -1252,7 +1132,7 @@ impl SpriteSystem {
             by_peer.sort_unstable_by_key(|&(p, _)| p);
             for (peer, terms) in &by_peer {
                 self.net
-                    .charge_traced(MsgKind::LearnPoll, Phase::Learn, tick, RingId(*peer), sink);
+                    .charge_traced(MsgKind::LearnPoll, phase, tick, RingId(*peer), op.sink);
                 report.polls += 1;
                 let Some(st) = self.indexing.get(peer) else {
                     continue;
@@ -1279,14 +1159,14 @@ impl SpriteSystem {
             report.queries_returned += incoming.len();
             self.net.charge_n_traced(
                 MsgKind::LearnReturn,
-                Phase::Learn,
+                phase,
                 tick,
                 owner_peer,
                 returned,
-                sink,
+                op.sink,
             );
             self.net
-                .charge_bytes_traced(MsgKind::LearnReturn, returned_bytes, sink);
+                .charge_bytes_traced(MsgKind::LearnReturn, returned_bytes, op.sink);
             {
                 let owner = &mut self.owners[i];
                 for &t in &published {
@@ -1294,42 +1174,15 @@ impl SpriteSystem {
                 }
             }
 
-            // Algorithm 1 with the grown budget.
+            // Algorithm 1 with the grown budget, then publish the difference.
             let budget = (published.len() + self.cfg.terms_per_iteration).min(self.cfg.max_terms);
-            let new_terms = {
-                let d = self.corpus.doc(doc);
-                let owner = &mut self.owners[i];
-                learn::update_stats(d, &mut owner.stats, &incoming);
-                learn::select_terms_mode(
-                    d,
-                    &owner.stats,
-                    budget,
-                    &owner.excluded,
-                    self.cfg.score_mode,
-                )
-            };
-
-            // Publish the difference.
-            let mut changed = false;
-            for &t in &new_terms {
-                if !published.contains(&t) {
-                    self.publish_term_impl(doc, t, Phase::Learn, tick, sink, None, &mut installs);
-                    report.terms_added += 1;
-                    changed = true;
-                }
-            }
-            for &t in &published {
-                if !new_terms.contains(&t) {
-                    self.remove_term_with(doc, t, Phase::Learn, tick, sink);
-                    report.terms_removed += 1;
-                    changed = true;
-                }
-            }
-            if changed {
-                report.docs_changed += 1;
-            }
-            self.owners[i].published = new_terms;
-            self.debug_validate_owner(doc);
+            learn::update_stats(self.corpus.doc(doc), &mut self.owners[i].stats, &incoming);
+            let new_terms = self.select_terms(doc, budget);
+            let (added, removed) = self.set_published(doc, new_terms, false, &mut op, &mut outbox);
+            self.deliver(outbox.drain(..), &mut op, &mut installs);
+            report.terms_added += added;
+            report.terms_removed += removed;
+            report.docs_changed += usize::from(added + removed > 0);
         }
         self.install(installs);
         report
@@ -1460,6 +1313,16 @@ mod tests {
         (sc, sys)
     }
 
+    /// An untraced operation stamp, for driving the write path's pieces
+    /// directly.
+    fn untraced(sink: &mut NullTrace) -> OpTrace<'_, NullTrace> {
+        OpTrace {
+            phase: Phase::Publish,
+            tick: 0,
+            sink,
+        }
+    }
+
     #[test]
     fn publish_all_indexes_top_frequent_terms() {
         let (_sc, mut sys) = tiny_system(SpriteConfig::default());
@@ -1540,7 +1403,124 @@ mod tests {
     }
 
     #[test]
-    fn remove_term_retracts_the_entry_and_bills_index_remove() {
+    fn deliver_bills_the_plan_and_returns_what_arrived_in_arrival_order() {
+        use sprite_chord::SimConfig;
+        let record = |i: u64| {
+            let entry = IndexEntry {
+                doc: DocId(i as u32),
+                owner: RingId(0),
+                tf: 1,
+                doc_len: 9,
+                distinct: 3,
+            };
+            (TermId(i as u32 % 3), entry)
+        };
+        // What the per-record send of the commit before `deliver` billed
+        // for the 64 single messages below: (delivered, timeouts, bytes).
+        for (max_retries, pinned) in [(0, (42, 22, 5493)), (1, (53, 33, 7000))] {
+            let (_sc, mut sys) = tiny_system(SpriteConfig::default());
+            sys.net_mut().set_sim(SimConfig {
+                seed: 3,
+                loss: 0.3,
+                latency: 4,
+                jitter: 6,
+                max_retries,
+                ..SimConfig::default()
+            });
+            let peers = sys.peers().to_vec();
+            let message = |i: u64| Message {
+                origin: peers[i as usize % peers.len()],
+                dest: peers[(i as usize * 7 + 3) % peers.len()],
+                kind: [MsgKind::IndexPublish, MsgKind::Replication][i as usize % 2],
+                salt: sim::message_salt(9, i, 0),
+                bytes: 10 + i,
+                records: vec![record(i), record(i + 100)],
+            };
+
+            // The plan, asked of the link model directly.
+            let mut drops_planned = 0;
+            let mut arrivals: Vec<(u64, u64, Message)> = Vec::new();
+            for i in 0..48 {
+                let m = message(i);
+                match sys.net().sim().transmit(m.origin, m.dest, m.salt) {
+                    Ok((arrival, drops)) => {
+                        drops_planned += drops;
+                        arrivals.push((arrival, i, m));
+                    }
+                    Err(drops) => drops_planned += drops,
+                }
+            }
+            assert!(
+                drops_planned > 0 && arrivals.len() < 48,
+                "some drop, some drown"
+            );
+            arrivals.sort_by_key(|&(arrival, seq, _)| (arrival, seq));
+            let mut expected = Installs::new();
+            let (mut count, mut bytes) = ([0u64; 2], [0u64; 2]);
+            for (_, i, m) in arrivals {
+                count[i as usize % 2] += 1;
+                bytes[i as usize % 2] += m.bytes;
+                expected.entry(m.dest.0).or_default().extend(m.records);
+            }
+
+            let (mut rec, mut installs) = (TraceRecorder::new(), Installs::new());
+            let mut op = OpTrace {
+                phase: Phase::Publish,
+                tick: 0,
+                sink: &mut rec,
+            };
+            sys.net_mut().reset_stats();
+            sys.deliver((0..48).map(message), &mut op, &mut installs);
+            assert_eq!(installs, expected);
+            let bill = sys.net().stats().clone();
+            assert_eq!(bill.count(MsgKind::Timeout), drops_planned);
+            let kinds = [MsgKind::IndexPublish, MsgKind::Replication];
+            for (k, kind) in kinds.into_iter().enumerate() {
+                assert_eq!((bill.count(kind), bill.bytes(kind)), (count[k], bytes[k]));
+            }
+            assert_eq!(
+                bill.total_messages(),
+                drops_planned + count[0] + count[1],
+                "a drowned message bills its timeouts and nothing else"
+            );
+            for kind in MsgKind::all() {
+                assert_eq!(rec.kind_count(kind), bill.count(kind), "{kind:?} events");
+                assert_eq!(rec.kind_bytes(kind), bill.bytes(kind), "{kind:?} bytes");
+            }
+
+            // A record sent on its own is a batch of one.
+            let (from, to) = (peers[0], peers[5]);
+            sys.net_mut().reset_stats();
+            let mut delivered = 0;
+            for i in 0..64 {
+                let one = Message {
+                    origin: from,
+                    dest: to,
+                    kind: MsgKind::IndexPublish,
+                    salt: sim::message_salt(7, i, 1),
+                    bytes: 100 + i,
+                    records: vec![record(i)],
+                };
+                let mut arrived = Installs::new();
+                sys.deliver([one], &mut untraced(&mut NullTrace), &mut arrived);
+                delivered += arrived.values().map(Vec::len).sum::<usize>();
+            }
+            let bill = sys.net().stats();
+            assert_eq!(bill.count(MsgKind::IndexPublish), delivered as u64);
+            assert_eq!(
+                (
+                    delivered,
+                    bill.count(MsgKind::Timeout),
+                    bill.bytes(MsgKind::IndexPublish)
+                ),
+                pinned,
+                "max_retries {max_retries}"
+            );
+        }
+    }
+
+    #[test]
+    fn retract_record_removes_the_entry_and_bills_index_remove() {
         let (_sc, mut sys) = tiny_system(SpriteConfig::default());
         sys.publish_all();
         let doc = DocId(0);
@@ -1549,7 +1529,7 @@ mod tests {
         let entries_before = sys.total_index_entries();
         assert!(df_before > 0, "published term must be indexed");
         sys.net_mut().reset_stats();
-        sys.remove_term(doc, term);
+        sys.retract_record(doc, term, false, &mut untraced(&mut NullTrace));
         assert!(
             sys.net().stats().count(MsgKind::IndexRemove) > 0,
             "retraction must bill IndexRemove messages"
@@ -1563,7 +1543,7 @@ mod tests {
             "retracted (doc, term) must not be retrieved"
         );
         // Removing an entry that is already gone is a no-op on the index.
-        sys.remove_term(doc, term);
+        sys.retract_record(doc, term, false, &mut untraced(&mut NullTrace));
         assert_eq!(sys.total_index_entries(), entries_before - 1);
     }
 
@@ -1797,7 +1777,7 @@ mod tests {
         // Re-warm, then join: any membership change through net_mut
         // invalidates again.
         let t = sys.published_terms(DocId(0))[0];
-        sys.publish_term(DocId(0), t);
+        sys.ship_record(DocId(0), t, &mut untraced(&mut NullTrace), &mut Vec::new());
         assert!(!sys.replica_cache.is_empty());
         let bootstrap = sys.peers()[0];
         let newcomer = RingId::hash_bytes(b"staleness-joiner");
@@ -1830,7 +1810,7 @@ mod tests {
         );
         // Re-publishing after the failure repopulates the cache; every set
         // resolved post-churn may only list live peers.
-        sys.publish_term(DocId(0), t);
+        sys.ship_record(DocId(0), t, &mut untraced(&mut NullTrace), &mut Vec::new());
         for (k, replicas) in &sys.replica_cache {
             for r in replicas {
                 assert!(

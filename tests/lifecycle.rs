@@ -2,8 +2,14 @@
 //! publish → update → query, publish → delete → churn → maintenance — with
 //! the lifecycle invariants checked end to end: an updated document is
 //! reachable by its new terms and not by its removed ones, and a deleted
-//! document never resurrects, not even through replica repair.
+//! document stays dead through peer *failures* and replica repair. It does
+//! not yet stay dead through peer *joins*: a newcomer can push a replica
+//! out of a term's replica set, the removal never reaches that copy, and
+//! orphan re-homing then ships it back as if it were live — the open
+//! `deleted_document_stays_dead_when_a_join_displaces_a_replica` below
+//! (ROADMAP item 1).
 
+use sprite::chord::{ChurnConfig, ChurnEngine};
 use sprite::core::{SpriteConfig, SpriteSystem};
 use sprite::corpus::{CorpusConfig, DocChurnConfig, DocChurnEngine, SyntheticCorpus};
 use sprite::ir::{DocId, Query, TermId};
@@ -137,6 +143,53 @@ fn deleted_document_never_resurrects_through_replica_repair() {
     assert!(
         !sys.issue_query(&probe, 30).iter().any(|h| h.doc == doc),
         "a later publish/learn pass resurrected a deleted document"
+    );
+}
+
+#[test]
+#[ignore = "open: ROADMAP item 1 — displaced replicas never hear removals"]
+fn deleted_document_stays_dead_when_a_join_displaces_a_replica() {
+    // Loss-free, one join: the newcomer lands inside the replica set of one
+    // of document 1's terms, so the old third replica is no longer among
+    // the peers `delete_document` tells. Its stale copy is then re-homed by
+    // the orphan pass and fanned out by the replication pass.
+    let sc = SyntheticCorpus::generate(&CorpusConfig::tiny(7));
+    let cfg = SpriteConfig {
+        replication: 3,
+        ..SpriteConfig::default()
+    };
+    let mut sys = SpriteSystem::build(sc.corpus().clone(), 40, cfg, 7);
+    sys.publish_all();
+    sys.replicate_indexes();
+    let joins_only = ChurnConfig {
+        join_rate: 2.0,
+        leave_rate: 0.0,
+        fail_rate: 0.0,
+        ..ChurnConfig::default()
+    };
+    let joined = sys
+        .churn_tick(&mut ChurnEngine::new(joins_only, 99))
+        .tick
+        .joins;
+    assert!(joined > 0, "the tick must add a peer");
+
+    let doc = DocId(1);
+    let probe = Query::new(sys.published_terms(doc).to_vec());
+    assert!(sys.delete_document(doc) > 0);
+    sys.maintenance_round();
+
+    for peer in sys.indexing_peers() {
+        let st = sys.indexing_state(peer).expect("listed peer has state");
+        for (t, list) in st.terms() {
+            assert!(
+                list.iter().all(|e| e.doc != doc),
+                "peer {peer:?} lists the deleted document under term {t:?} again"
+            );
+        }
+    }
+    assert!(
+        !sys.issue_query(&probe, 50).iter().any(|h| h.doc == doc),
+        "the deleted document answers its own terms"
     );
 }
 
