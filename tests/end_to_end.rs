@@ -882,3 +882,127 @@ fn churn_lifecycle_and_repair_under_loss_end_in_the_pinned_state() {
         "message and byte bill"
     );
 }
+
+// ---------------------------------------------------------------------
+// Pinned repair run: every way an inverted list moves between peers —
+// orphan re-homing, successor replication, hand-over — at 5 % loss, plus
+// one replication pass that runs while tombstones are still pending. The
+// values are those of the commit before lists travelled as packed blocks
+// and landed through one block-level merge.
+// ---------------------------------------------------------------------
+
+#[test]
+fn repair_rounds_under_loss_end_in_the_pinned_state() {
+    use sprite::audit::determinism::{fingerprint_index, fingerprint_owners, fingerprint_stats};
+    use sprite::chord::{ChurnConfig, ChurnEngine};
+    use sprite::corpus::{DocChurnConfig, DocChurnEngine};
+
+    let world = tiny_world();
+    let cfg = SpriteConfig {
+        replication: 3,
+        ..SpriteConfig::default()
+    };
+    let mut sys = SpriteSystem::build(world.synthetic.corpus().clone(), 48, cfg, 77);
+    sys.net_mut().set_sim(SimConfig {
+        seed: 9,
+        loss: 0.05,
+        max_retries: 1,
+        latency: 10,
+        jitter: 5,
+        ..SimConfig::default()
+    });
+    sys.publish_all();
+    sys.replicate_indexes();
+
+    // Integer rates are exact counts: two joins, one leave, one failure
+    // per tick; two inserts, three updates, two deletes.
+    let mut peers = ChurnEngine::new(
+        ChurnConfig {
+            join_rate: 2.0,
+            leave_rate: 1.0,
+            fail_rate: 1.0,
+            ..ChurnConfig::default()
+        },
+        91,
+    );
+    let mut docs = DocChurnEngine::new(
+        DocChurnConfig {
+            insert_rate: 2.0,
+            update_rate: 3.0,
+            delete_rate: 2.0,
+            min_docs: 8,
+        },
+        92,
+        &world.synthetic,
+    );
+    // Per round: tombstones reclaimed, orphans moved, entries replicated.
+    let pinned_rounds: [(usize, usize, usize); 4] = [
+        (67, 18, 1978),
+        (57, 38, 2004),
+        (46, 59, 2016),
+        (61, 38, 2022),
+    ];
+    let mut handed_over = 0;
+    let mut bare_replicated = None;
+    for (round, &(reclaimed, orphans, replicated)) in pinned_rounds.iter().enumerate() {
+        let churn = sys.churn_tick(&mut peers);
+        assert_eq!(
+            (churn.tick.joins, churn.tick.leaves, churn.tick.fails),
+            (2, 1, 1),
+            "peer churn of round {round}"
+        );
+        handed_over += churn.handed_over;
+        let events = docs.plan(&sys.live_docs(), sys.corpus().len());
+        let applied = sys.apply_doc_events(&events);
+        assert!(
+            applied.inserted > 0 && applied.updated > 0 && applied.deleted > 0,
+            "document churn of round {round}"
+        );
+        if round == 1 {
+            // A replication pass nobody ran `reclaim_tombstones` before:
+            // lists with dead entries ship their live ones only.
+            assert!(sys.pending_tombstones() > 0, "no tombstone is pending");
+            bare_replicated = Some(sys.replicate_indexes());
+        }
+        let report = sys.maintenance_round();
+        assert_eq!(
+            report.tombstones_reclaimed, reclaimed,
+            "tombstones reclaimed in round {round}"
+        );
+        assert_eq!(
+            report.orphans_moved, orphans,
+            "orphans moved in round {round}"
+        );
+        assert_eq!(
+            report.replicated, replicated,
+            "entries replicated in round {round}"
+        );
+    }
+    assert_eq!(bare_replicated, Some(1928), "the bare replication pass");
+    assert_eq!(handed_over, 145, "entries handed over by leaving peers");
+
+    let stats = sys.net().stats();
+    let bill = |kind| (stats.count(kind), stats.bytes(kind));
+    assert_eq!(
+        bill(MsgKind::Replication),
+        (1802, 497_982),
+        "replication bill"
+    );
+    assert_eq!(bill(MsgKind::Maintenance), (8524, 0), "maintenance bill");
+    assert_eq!(bill(MsgKind::Timeout), (1849, 0), "timeout bill");
+    assert_eq!(
+        fingerprint_index(&sys),
+        0xade42b3057249f8b17e876ceaf42d2e9,
+        "index fingerprint"
+    );
+    assert_eq!(
+        fingerprint_owners(&sys),
+        0xf67745e83704f237f5f1351e4192b94f,
+        "owner-state fingerprint"
+    );
+    assert_eq!(
+        fingerprint_stats(stats),
+        0xca51f6a6ec01d3a61781390470f20109,
+        "message and byte bill"
+    );
+}
