@@ -141,6 +141,19 @@ impl IndexingState {
             .publish_run(run);
     }
 
+    /// Merge another peer's copy of `term`'s list into this peer's
+    /// ([`PostingList::absorb`]) — how every list that moved between peers
+    /// lands. Returns whether this peer's list changed.
+    pub fn absorb_list(&mut self, term: TermId, donor: &PostingList) -> bool {
+        if donor.is_empty() {
+            return false; // an empty donor must not leave an empty list behind
+        }
+        self.inverted
+            .entry(term)
+            .or_insert_with(|| PostingList::new(true))
+            .absorb(donor)
+    }
+
     /// Remove the entry for `(term, doc)` eagerly; true if it existed.
     /// A list is dropped only when nothing — live or tombstoned — is
     /// left in it, so pending tombstones always survive to be billed by
@@ -301,14 +314,14 @@ impl IndexingState {
         self.cache.len()
     }
 
-    /// Copy all state from `other` into `self` (successor replication).
-    /// Returns the number of entries copied.
+    /// Copy all state from `other` into `self` (successor replication):
+    /// one [`Self::absorb_list`] per list. Returns the number of entries
+    /// copied.
     pub fn absorb_replica(&mut self, other: &IndexingState) -> usize {
         let mut copied = 0;
         for (&t, list) in &other.inverted {
-            let live = list.to_entries();
-            self.publish_run(t, &live);
-            copied += live.len();
+            self.absorb_list(t, list);
+            copied += list.len();
         }
         copied
     }

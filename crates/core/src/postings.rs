@@ -32,6 +32,10 @@
 //! run the same pass with a drop set in place of the run. Nothing ever
 //! decodes a block into a vector, splices it and encodes it again, so
 //! bulk writers sort their records per list and merge each list once.
+//! A list that moves between peers travels as its block and lands through
+//! [`PostingList::absorb`]: equal bytes are left alone, an empty
+//! destination adopts them, and only a real difference decodes the
+//! donor's live entries into one `publish_run`.
 //!
 //! **Tombstones.** Document deletion marks entries dead instead of
 //! re-encoding the list on the spot: each list carries a sorted side
@@ -50,9 +54,9 @@
 
 use sprite_util::{decode_varint, encode_varint, varint_len, CodecError, RingId, WireSize};
 
-use sprite_ir::DocId;
+use sprite_ir::{DocId, TermId};
 
-use crate::peer::IndexEntry;
+use crate::peer::{term_record_wire_size, IndexEntry};
 
 /// Logical bytes one decoded in-memory entry would occupy: u32 doc id +
 /// 16-byte owner address + u32 tf + u32 doc-length + u32 distinct-count.
@@ -426,10 +430,29 @@ impl PostingList {
     #[must_use]
     pub fn wire_size(&self) -> usize {
         if self.dead.is_empty() {
-            varint_len(u64::from(self.count)) + self.bytes.len()
-        } else {
-            crate::peer::posting_list_wire_size(&self.to_entries())
+            return varint_len(u64::from(self.count)) + self.bytes.len();
         }
+        // Skipping a dead entry widens the next live one's gap.
+        let mut prev = 0;
+        let entries: usize = self
+            .iter()
+            .map(|e| {
+                let doc = e.doc.index() as u64;
+                let gap = doc - std::mem::replace(&mut prev, doc);
+                varint_len(gap) + e.wire_size() - varint_len(doc)
+            })
+            .sum();
+        varint_len(self.len() as u64) + entries
+    }
+
+    /// Exact wire size of this list's *live* entries shipped as
+    /// independent `(term, entry)` records — the sum of
+    /// [`term_record_wire_size`] over them, in one streaming pass.
+    #[must_use]
+    pub fn records_wire_size(&self, term: TermId) -> u64 {
+        self.iter()
+            .map(|e| term_record_wire_size(term, &e) as u64)
+            .sum()
     }
 
     /// Deterministic *logical* bytes this list occupies in memory: the
@@ -463,14 +486,14 @@ impl PostingList {
     ///   changed. A republished document sheds any pending tombstone.
     ///
     /// The result is what publishing the entries one by one, in any
-    /// order, would leave behind.
-    pub fn publish_run(&mut self, run: &[IndexEntry]) {
+    /// order, would leave behind. Returns whether the list changed.
+    pub fn publish_run(&mut self, run: &[IndexEntry]) -> bool {
         debug_assert!(
             run.windows(2).all(|w| w[0].doc < w[1].doc),
             "a run ascends by document id with one entry per document"
         );
         let Some(first) = run.first() else {
-            return;
+            return false;
         };
         // Tombstoned docs were published before, so they sit at or below
         // `last_doc`: the append path can never hit one.
@@ -482,11 +505,47 @@ impl PostingList {
             }
             self.count += run.len() as u32;
             self.last_doc = prev.unwrap_or(0);
-        } else if !run_is_stored(&self.bytes, self.count, &self.dead, run) {
+        } else if run_is_stored(&self.bytes, self.count, &self.dead, run) {
+            return false;
+        } else {
             (self.bytes, self.count, self.last_doc, _) = rewrite(&self.bytes, self.count, run, &[]);
             self.dead
                 .retain(|d| run.binary_search_by_key(d, |e| e.doc.0).is_err());
         }
+        true
+    }
+
+    /// Merge another peer's copy of this list into this one — the one way
+    /// a list lands after moving between peers (re-homing, successor
+    /// replication, hand-over). Only the donor's *live* entries travel,
+    /// and the result is what publishing them one by one would leave
+    /// behind, reached by the cheapest of three routes:
+    ///
+    /// * equal blocks with no tombstone pending on either side are
+    ///   already merged — nothing is decoded, written or allocated;
+    /// * an empty destination adopts the donor's bytes as they are (the
+    ///   encoding is canonical, so they are the bytes this list would
+    ///   have produced);
+    /// * anything else is one [`Self::publish_run`] over the donor's
+    ///   decoded live entries, which sheds the destination's tombstone
+    ///   for every document shipped.
+    ///
+    /// The donor is a block in service (module docs, "Trust boundary"), so
+    /// nothing here calls [`Self::check`]. Returns whether the list
+    /// changed.
+    pub fn absorb(&mut self, donor: &PostingList) -> bool {
+        if donor.dead.is_empty() {
+            if self.dead.is_empty() && self.bytes == donor.bytes {
+                debug_assert_eq!(self.count, donor.count, "equal blocks, equal counts");
+                return false;
+            }
+            if self.count == 0 {
+                self.bytes.clone_from(&donor.bytes);
+                (self.count, self.last_doc) = (donor.count, donor.last_doc);
+                return true;
+            }
+        }
+        self.publish_run(&donor.to_entries())
     }
 
     /// Eagerly remove the entry for `doc` — physical removal, pending
@@ -710,6 +769,88 @@ mod tests {
         assert_eq!(list.len(), 4);
         assert_eq!(list.dead_count(), 0);
         assert_eq!(list.to_entries()[1].tf, 42);
+    }
+
+    #[test]
+    fn absorbing_an_identical_block_leaves_the_byte_buffer_untouched() {
+        let donor = PostingList::from_entries((0..9).map(|d| entry(3 * d, d + 1)).collect());
+        let mut list = donor.clone();
+        let (ptr, capacity) = (list.bytes.as_ptr(), list.bytes.capacity());
+        assert!(!list.absorb(&donor), "nothing changed");
+        assert_eq!(list.bytes.as_ptr(), ptr, "the block was reallocated");
+        assert_eq!(list.bytes.capacity(), capacity);
+        assert_eq!(list.packed_bytes(), donor.packed_bytes());
+        assert_eq!((list.len(), list.dead_count()), (9, 0));
+    }
+
+    #[test]
+    fn an_empty_destination_adopts_the_donors_block() {
+        let donor = PostingList::from_entries((0..9).map(|d| entry(3 * d, d + 1)).collect());
+        let mut list = PostingList::new(true);
+        assert!(list.absorb(&donor));
+        let rebuilt = PostingList::from_entries(donor.to_entries());
+        assert_eq!(list.packed_bytes(), rebuilt.packed_bytes());
+        assert_eq!(list.len(), 9);
+        assert_eq!(list.check(), Ok(()));
+        // The adopted block is a block like any other: it appends.
+        list.publish(entry(100, 1));
+        assert_eq!(list.len(), 10);
+        assert_eq!(list.check(), Ok(()));
+        assert!(
+            !PostingList::new(true).absorb(&PostingList::new(true)),
+            "nothing to adopt"
+        );
+    }
+
+    #[test]
+    fn absorb_ships_live_entries_only_and_sheds_the_destinations_tombstone() {
+        let mut donor = PostingList::from_entries((0..4).map(|d| entry(d, 7)).collect());
+        assert!(donor.tombstone(DocId(1)));
+        // Into an empty list: the donor's dead entry stays behind.
+        let mut fresh = PostingList::new(true);
+        assert!(fresh.absorb(&donor));
+        assert_eq!(
+            fresh.to_entries(),
+            vec![entry(0, 7), entry(2, 7), entry(3, 7)]
+        );
+        assert_eq!(fresh.dead_count(), 0, "a tombstone never travels");
+        // Into a list that holds document 1 live and document 2 dead: the
+        // donor's tombstone kills nothing, its live entry revives.
+        let mut list = PostingList::from_entries((1..3).map(|d| entry(d, 5)).collect());
+        assert!(list.tombstone(DocId(2)));
+        assert!(list.absorb(&donor));
+        assert_eq!(
+            list.to_entries(),
+            vec![entry(0, 7), entry(1, 5), entry(2, 7), entry(3, 7)]
+        );
+        assert_eq!(
+            list.dead_count(),
+            0,
+            "the shipped document shed its tombstone"
+        );
+        assert_eq!(list.check(), Ok(()));
+        // Equal bytes are not enough while a tombstone is pending.
+        let mut same_bytes = donor.clone();
+        same_bytes.dead.clear();
+        assert!(donor.clone().absorb(&same_bytes), "document 1 revives");
+        assert!(!same_bytes.absorb(&donor), "and is not killed");
+        assert_eq!(same_bytes.len(), 4);
+    }
+
+    #[test]
+    fn wire_sizes_stream_over_live_entries() {
+        let mut list = PostingList::from_entries((0..6).map(|d| entry(200 * d, d + 1)).collect());
+        assert!(list.tombstone(DocId(0)));
+        assert!(list.tombstone(DocId(600)));
+        let live = list.to_entries();
+        assert_eq!(list.wire_size(), posting_list_wire_size(&live));
+        let term = TermId(300);
+        assert_eq!(
+            list.records_wire_size(term),
+            live.iter()
+                .map(|e| term_record_wire_size(term, e) as u64)
+                .sum::<u64>()
+        );
     }
 
     #[test]

@@ -8,23 +8,31 @@
 //! with and without replication.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use sprite_chord::{sim, ChurnEngine, ChurnEvent, MsgKind, NetStats, NullTrace, Phase, TickReport};
 use sprite_ir::{DocId, TermId};
 use sprite_util::{derive_rng, RingId};
 
-use crate::peer::{term_record_wire_size, IndexEntry};
+use crate::postings::PostingList;
 use crate::system::{Message, OpTrace, SpriteSystem};
 
 /// The transfers of one maintenance pass: per destination, the one
-/// message carrying every `(term, entries)` list the pass ships there
-/// (`BTreeMap`: deterministic send order).
-type Transfers = BTreeMap<u128, Message<(TermId, Vec<IndexEntry>)>>;
+/// message carrying every `(term, list)` the pass ships there
+/// (`BTreeMap`: deterministic send order). A list travels as the holder's
+/// packed block, one copy shared by every replica it is bound for.
+type Transfers = BTreeMap<u128, Message<(TermId, Rc<PostingList>)>>;
 
-/// Add the `entries` of `term` to the message bound for `dest`. That
-/// message merges records from many holders, so the sender is collapsed
-/// onto the destination for link sampling.
-fn add_transfer(transfers: &mut Transfers, dest: RingId, term: TermId, entries: Vec<IndexEntry>) {
+/// Add the `list` of `term`, `bytes` on the wire, to the message bound
+/// for `dest`. That message merges records from many holders, so the
+/// sender is collapsed onto the destination for link sampling.
+fn add_transfer(
+    transfers: &mut Transfers,
+    dest: RingId,
+    term: TermId,
+    list: Rc<PostingList>,
+    bytes: u64,
+) {
     let m = transfers.entry(dest.0).or_insert_with(|| Message {
         origin: dest,
         dest,
@@ -33,11 +41,8 @@ fn add_transfer(transfers: &mut Transfers, dest: RingId, term: TermId, entries: 
         bytes: 0,
         records: Vec::new(),
     });
-    m.bytes += entries
-        .iter()
-        .map(|e| term_record_wire_size(term, e) as u64)
-        .sum::<u64>();
-    m.records.push((term, entries));
+    m.bytes += bytes;
+    m.records.push((term, list));
 }
 
 /// Report of a [`SpriteSystem::hot_term_advisory`] pass.
@@ -71,6 +76,12 @@ pub struct MaintenanceReport {
     pub orphans_moved: usize,
     /// Entries copied by the replication pass.
     pub replicated: usize,
+    /// Inverted lists that reached their destination, orphan and
+    /// replication passes together.
+    pub lists_shipped: usize,
+    /// Of those, the lists that left the destination as it was: it already
+    /// held every entry shipped.
+    pub lists_unchanged: usize,
 }
 
 impl SpriteSystem {
@@ -161,14 +172,8 @@ impl SpriteSystem {
         // The leaver ships its full holdings over the wire, whether or not
         // the heir already mirrors some of them — bill the shipped payload.
         let shipped_bytes: u64 = state
-            .term_dfs()
-            .map(|(t, _)| {
-                state
-                    .entries(t)
-                    .iter()
-                    .map(|e| term_record_wire_size(t, e) as u64)
-                    .sum::<u64>()
-            })
+            .terms()
+            .map(|(t, list)| list.records_wire_size(t))
             .sum();
         let copied = self.indexing_entry(heir).absorb_replica(&state);
         self.net_mut().charge_n(MsgKind::Replication, copied as u64);
@@ -183,11 +188,12 @@ impl SpriteSystem {
     /// every few [`Self::churn_tick`]s.
     pub fn maintenance_round(&mut self) -> MaintenanceReport {
         let span = self.trace_span_start();
-        let report = MaintenanceReport {
+        let mut report = MaintenanceReport {
             tombstones_reclaimed: self.reclaim_tombstones(),
-            orphans_moved: self.republish_orphans(),
-            replicated: self.replicate_indexes(),
+            ..MaintenanceReport::default()
         };
+        self.republish_orphans(&mut report);
+        self.replication_pass(&mut report);
         self.trace_span_end(Phase::Maintenance, span);
         report
     }
@@ -230,44 +236,60 @@ impl SpriteSystem {
     /// Re-home entries orphaned by ownership transfer: after joins, a peer
     /// may hold a term whose arc now belongs to a newcomer. Each holder
     /// verifies responsibility with a routed lookup; when the owner
-    /// differs, one digest probe compares holdings and the term's entries
-    /// are shipped over (the old holder keeps its copy, which now acts as
-    /// a replica). Returns entries newly added at their proper owners.
-    fn republish_orphans(&mut self) -> usize {
+    /// differs it is charged one digest probe and ships the term's list
+    /// over (the old holder keeps its copy, which now acts as a replica).
+    /// The probe is billed but gates nothing: the list ships whatever a
+    /// digest would have said, so every replica re-sends every list to its
+    /// owner every round and almost all of them land unchanged
+    /// ([`MaintenanceReport::lists_unchanged`] counts them). Adds the
+    /// entries newly stored at their proper owners to
+    /// `report.orphans_moved`.
+    fn republish_orphans(&mut self, report: &mut MaintenanceReport) {
         let mut transfers = Transfers::new();
-        let holders = self.holder_snapshot();
-        for (holder, terms) in holders {
-            if !self.net().contains(RingId(holder)) {
+        for (holder, terms) in self.holder_snapshot() {
+            if !self.net().contains(holder) {
                 continue;
             }
             for term in terms {
                 let key = self.term_ring(term);
-                let Ok(lookup) = self.net_mut().lookup_fast(RingId(holder), key) else {
+                let Ok(lookup) = self.net_mut().lookup_fast(holder, key) else {
                     continue;
                 };
-                if lookup.owner.0 == holder {
+                if lookup.owner == holder {
                     continue;
                 }
                 self.net_mut().charge(MsgKind::Maintenance);
-                let entries: Vec<_> = self
-                    .indexing_state(RingId(holder))
-                    .map(|st| st.entries(term))
-                    .unwrap_or_default();
-                if !entries.is_empty() {
-                    add_transfer(&mut transfers, lookup.owner, term, entries);
+                if let Some((list, bytes)) = self.held_list(holder, term) {
+                    add_transfer(&mut transfers, lookup.owner, term, list, bytes);
                 }
             }
         }
-        self.send_transfers(transfers, true)
+        report.orphans_moved += self.send_transfers(transfers, true, report);
+    }
+
+    /// The list `holder` ships for `term` — its packed block as it stands,
+    /// of which only the live entries travel — and those entries' size on
+    /// the wire as `(term, entry)` records. `None` when it holds no live
+    /// entry under `term`.
+    fn held_list(&self, holder: RingId, term: TermId) -> Option<(Rc<PostingList>, u64)> {
+        let list = self.indexing_state(holder)?.postings(term)?;
+        (!list.is_empty()).then(|| (Rc::new(list.clone()), list.records_wire_size(term)))
     }
 
     /// Send a maintenance pass's transfers through [`Self::deliver`] and
-    /// store what arrives. The round's trace is the span diff of
+    /// merge every list that arrives into its destination's
+    /// ([`IndexingState::absorb_list`]), tallying lists shipped and
+    /// unchanged in `report`. The round's trace is the span diff of
     /// `NetStats`, so the delivery itself runs untraced. Returns installed
     /// entries: only newly-added ones when `count_new` (the orphan pass),
     /// else every delivered record (the replication pass bills data
     /// moved).
-    fn send_transfers(&mut self, transfers: Transfers, count_new: bool) -> usize {
+    fn send_transfers(
+        &mut self,
+        transfers: Transfers,
+        count_new: bool,
+        report: &mut MaintenanceReport,
+    ) -> usize {
         let mut op = OpTrace {
             phase: Phase::Maintenance,
             tick: 0,
@@ -278,18 +300,16 @@ impl SpriteSystem {
         let mut installed = 0;
         for (dest, records) in arrived {
             let st = self.indexing_entry(RingId(dest));
-            for (term, entries) in records {
+            for (term, list) in records {
                 let before = st.indexed_df(term);
-                // One `publish` per record, as ever: one run merge per
-                // list (`publish_run`) is ROADMAP item 3 step (2), due
-                // after the benchmark's `churn-repair` is re-sized for it.
-                for &e in &entries {
-                    st.publish(term, e);
+                report.lists_shipped += 1;
+                if !st.absorb_list(term, &list) {
+                    report.lists_unchanged += 1;
                 }
                 installed += if count_new {
                     st.indexed_df(term) - before
                 } else {
-                    entries.len()
+                    list.len()
                 };
             }
         }
@@ -298,18 +318,14 @@ impl SpriteSystem {
 
     /// Snapshot which peers hold which terms, both levels sorted so every
     /// maintenance pass walks the index in a reproducible order.
-    fn holder_snapshot(&mut self) -> Vec<(u128, Vec<TermId>)> {
-        let mut holders: Vec<(u128, Vec<TermId>)> = self
-            .indexing_mut()
-            .iter()
-            .map(|(&p, st)| {
-                let mut terms: Vec<TermId> = st.term_dfs().map(|(t, _)| t).collect();
-                terms.sort_unstable();
-                (p, terms)
+    fn holder_snapshot(&self) -> Vec<(RingId, Vec<TermId>)> {
+        self.indexing_peers()
+            .into_iter()
+            .filter_map(|p| {
+                let terms = self.indexing_state(p)?.term_dfs().map(|(t, _)| t);
+                Some((p, terms.collect()))
             })
-            .collect();
-        holders.sort_unstable_by_key(|&(p, _)| p);
-        holders
+            .collect()
     }
 
     /// The periodic successor replication of §7: every responsible indexing
@@ -323,14 +339,20 @@ impl SpriteSystem {
     /// contacted — the bill scales with the data moved, matching the
     /// paper's per-message cost model.
     pub fn replicate_indexes(&mut self) -> usize {
+        let mut report = MaintenanceReport::default();
+        self.replication_pass(&mut report);
+        report.replicated
+    }
+
+    /// [`Self::replicate_indexes`], tallied into `report`.
+    fn replication_pass(&mut self, report: &mut MaintenanceReport) {
         let degree = self.config().replication;
         if degree <= 1 {
-            return 0;
+            return;
         }
         let mut transfers = Transfers::new();
-        let holders = self.holder_snapshot();
-        for (holder, terms) in holders {
-            if !self.net().contains(RingId(holder)) {
+        for (holder, terms) in self.holder_snapshot() {
+            if !self.net().contains(holder) {
                 continue;
             }
             for term in terms {
@@ -338,30 +360,24 @@ impl SpriteSystem {
                 // Only the current responsible peer fans out; replicas do
                 // not re-replicate. Responsibility is established by a
                 // routed lookup from the holder itself.
-                let Ok(lookup) = self.net_mut().lookup_fast(RingId(holder), key) else {
+                let Ok(lookup) = self.net_mut().lookup_fast(holder, key) else {
                     continue;
                 };
-                if lookup.owner.0 != holder {
+                if lookup.owner != holder {
                     continue;
                 }
-                let entries: Vec<_> = self
-                    .indexing_state(lookup.owner)
-                    .map(|st| st.entries(term))
-                    .unwrap_or_default();
-                if entries.is_empty() {
+                let Some((list, bytes)) = self.held_list(holder, term) else {
                     continue;
-                }
+                };
                 let mut delta = NetStats::new();
-                let replicas = self
-                    .net()
-                    .replicas_from_owner(lookup.owner, degree, &mut delta);
+                let replicas = self.net().replicas_from_owner(holder, degree, &mut delta);
                 self.net_mut().absorb_stats(&delta);
                 for &replica in replicas.iter().skip(1) {
-                    add_transfer(&mut transfers, replica, term, entries.clone());
+                    add_transfer(&mut transfers, replica, term, Rc::clone(&list), bytes);
                 }
             }
         }
-        self.send_transfers(transfers, false)
+        report.replicated += self.send_transfers(transfers, false, report);
     }
 
     /// §7 load balancing: indexing peers report terms whose indexed
@@ -435,7 +451,7 @@ impl SpriteSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SpriteConfig;
+    use crate::{IndexEntry, SpriteConfig};
     use sprite_corpus::{CorpusConfig, SyntheticCorpus};
     use sprite_ir::Query;
 
@@ -587,6 +603,40 @@ mod tests {
             sys.indexed_df(term) >= 1,
             "the newcomer answers for the transferred term"
         );
+    }
+
+    #[test]
+    fn the_later_of_two_holders_wins_a_repeated_record_in_one_pass() {
+        let mut sys = system(1);
+        // Two holders of one term, disagreeing on a document's `tf`.
+        let first = sys.indexing_peers()[0];
+        let (term, list) = {
+            let (t, l) = sys.indexing_state(first).unwrap().terms().next().unwrap();
+            (t, l.clone())
+        };
+        let second = *sys.indexing_peers().last().unwrap();
+        assert!(first < second, "holders ship in ring-id order");
+        let shipped = list.to_entries();
+        let stale = shipped[0];
+        let fresh = IndexEntry {
+            tf: stale.tf + 9,
+            ..stale
+        };
+        sys.indexing_entry(second).publish(term, fresh);
+        // A newcomer exactly at the term's ring position now owns it: both
+        // holders re-home their copy in the same orphan pass.
+        let key = sys.term_ring(term);
+        let bootstrap = sys.peers()[0];
+        sys.net_mut().join(RingId(key.0), bootstrap).unwrap();
+        sys.net_mut().converge(64);
+        sys.refresh_peers();
+        let report = sys.maintenance_round();
+        assert!(report.lists_shipped >= 2);
+        assert!(report.lists_unchanged < report.lists_shipped);
+        let stored = sys.indexing_state(RingId(key.0)).unwrap().entries(term);
+        assert_eq!(stored[0], fresh, "the later arrival wins the document");
+        assert_eq!(stored[1..], shipped[1..], "the rest came from the first");
+        assert_eq!(stored.len(), shipped.len(), "one entry per document");
     }
 
     #[test]

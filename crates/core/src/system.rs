@@ -354,11 +354,8 @@ impl SpriteSystem {
         let mut peers: Vec<&u128> = self.indexing.keys().collect();
         peers.sort_unstable();
         for p in peers {
-            let st = &self.indexing[p];
-            let mut terms: Vec<TermId> = st.term_dfs().map(|(t, _)| t).collect();
-            terms.sort_unstable();
-            for term in terms {
-                for e in st.entries(term) {
+            for (term, list) in self.indexing[p].terms() {
+                for e in list {
                     total += 1;
                     let d = self.corpus.doc(e.doc);
                     if e.tf != d.freq(term) || e.doc_len != d.len() {

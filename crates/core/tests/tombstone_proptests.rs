@@ -8,7 +8,9 @@
 //! must never rewrite bytes behind its append watermark except through
 //! [`PostingList::cleanup`]. The write kernel,
 //! [`PostingList::publish_run`], is held to the same model: a run leaves
-//! exactly what its entries published one by one, in any order, leave.
+//! exactly what its entries published one by one, in any order, leave —
+//! and so is the block-level merge, [`PostingList::absorb`]: it leaves
+//! what publishing the donor's live entries one by one leaves.
 
 use sprite_core::{IndexEntry, PostingList};
 use sprite_ir::DocId;
@@ -334,4 +336,96 @@ fn a_refresh_run_that_changes_nothing_never_touches_the_block() {
         assert_eq!(list.dead_count(), dead);
     }
     assert!(checked > 64, "only {checked} non-empty refresh runs");
+}
+
+/// `absorb` is the one-by-one publishes of the donor's live entries: same
+/// bytes, same counts, same contents — whether tombstones are pending on
+/// neither side, either or both, and for donors disjoint from the
+/// destination, overlapping it, equal to it, inside it or around it, and
+/// when either side is empty. It reports a change exactly when there is
+/// one.
+#[test]
+fn absorb_leaves_what_publishing_the_donors_live_entries_one_by_one_leaves() {
+    let mut r = rng("absorb");
+    let (mut unchanged, mut adopted) = (0, 0);
+    for round in 0..640 {
+        let doc_space = r.gen_range(1..40) as u32;
+        let (mut dest, _) = random_list(&mut r, doc_space);
+        let mut coin = rng(&format!("absorb-coin-{round}"));
+        let mut donor = match round % 8 {
+            // Disjoint: every donor document lies past the destination's.
+            0 => {
+                let (far, _) = random_list(&mut r, doc_space);
+                let shifted = far.to_entries().into_iter().map(|e| IndexEntry {
+                    doc: DocId(e.doc.0 + doc_space),
+                    ..e
+                });
+                PostingList::from_entries(shifted.collect())
+            }
+            // Overlapping: same documents, other metadata, other tombstones.
+            1 => random_list(&mut r, doc_space).0,
+            // Equal, tombstones included.
+            2 | 3 => dest.clone(),
+            // Donor inside the destination.
+            4 => {
+                let keep = |_: &IndexEntry| coin.gen_range(0..2) == 0;
+                PostingList::from_entries(dest.iter().filter(keep).collect())
+            }
+            // Donor around the destination.
+            5 => {
+                let mut around = dest.clone();
+                for d in (0..doc_space + 4).filter(|_| coin.gen_range(0..4) == 0) {
+                    if !dest.iter().any(|e| e.doc.0 == d) {
+                        around.publish(entry(&mut r, d));
+                    }
+                }
+                around
+            }
+            // Empty destination.
+            6 => std::mem::replace(&mut dest, PostingList::new(true)),
+            // Empty donor.
+            _ => PostingList::new(true),
+        };
+        // Tombstones pending on neither side, either or both.
+        if round / 8 % 2 == 0 {
+            dest.cleanup();
+        }
+        if round / 16 % 2 == 0 {
+            donor.cleanup();
+        }
+
+        let mut one_by_one = dest.clone();
+        let mut live = donor.to_entries();
+        live.shuffle(&mut coin);
+        for e in live {
+            one_by_one.publish(e);
+        }
+        let (bytes_before, dead_before) = (dest.packed_bytes().to_vec(), dest.dead_count());
+        let was_empty = bytes_before.is_empty();
+        let changed = dest.absorb(&donor);
+
+        assert_eq!(dest.packed_bytes(), one_by_one.packed_bytes(), "{round}");
+        assert_eq!(dest.len(), one_by_one.len(), "{round}");
+        assert_eq!(dest.dead_count(), one_by_one.dead_count(), "{round}");
+        assert_eq!(dest.to_entries(), one_by_one.to_entries(), "{round}");
+        assert_eq!(dest.check(), Ok(()), "{round}");
+        assert_eq!(
+            changed,
+            dest.packed_bytes() != &bytes_before[..] || dest.dead_count() != dead_before,
+            "{round}: a change is reported exactly when there is one"
+        );
+        unchanged += usize::from(!changed);
+        adopted += usize::from(changed && was_empty);
+        // A later publish past the end still appends to an adopted block.
+        let next = dest.iter().last().map_or(0, |e| e.doc.0 + 1);
+        let e = entry(&mut r, next);
+        dest.publish(e);
+        one_by_one.publish(e);
+        assert_eq!(dest.packed_bytes(), one_by_one.packed_bytes(), "{round}");
+    }
+    assert!(unchanged > 100, "only {unchanged} merges changed nothing");
+    assert!(
+        adopted > 40,
+        "only {adopted} empty destinations adopted a block"
+    );
 }

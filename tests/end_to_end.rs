@@ -977,6 +977,14 @@ fn repair_rounds_under_loss_end_in_the_pinned_state() {
             report.replicated, replicated,
             "entries replicated in round {round}"
         );
+        // Most lists land where an equal copy already is; a round in which
+        // none does means the merge's fast path stopped firing.
+        assert!(
+            0 < report.lists_unchanged && report.lists_unchanged <= report.lists_shipped,
+            "{} of {} shipped lists unchanged in round {round}",
+            report.lists_unchanged,
+            report.lists_shipped
+        );
     }
     assert_eq!(bare_replicated, Some(1928), "the bare replication pass");
     assert_eq!(handed_over, 145, "entries handed over by leaving peers");
