@@ -658,6 +658,73 @@ fn ring_churn_schedule_passes_through_the_pinned_rings() {
     );
 }
 
+/// The schedule above pins only *converged* rings, which membership alone
+/// determines. This one pins a ring **while it is stale**: the bill of
+/// lookups routed through dead fingers (one `Failed` probe per table entry
+/// a dead in-interval finger occupies), and what single maintenance rounds
+/// leave behind — each call's change count, the stale-fingers-included
+/// fingerprint and the maintenance bill. The values are those of the
+/// commit before finger tables were stored as their distinct runs.
+#[test]
+fn stale_ring_lookups_and_single_repair_rounds_end_in_the_pinned_state() {
+    use sprite::audit::determinism::fingerprint_ring;
+    use sprite::chord::{ChordConfig, ChordNet};
+
+    let seed = 2026u64;
+    let mut net = ChordNet::with_random_nodes(ChordConfig::default(), 200, seed);
+    for id in net.node_ids().iter().step_by(7) {
+        net.fail(*id).expect("listed node is alive");
+    }
+
+    // 300 lookups on the unrepaired ring.
+    let ids = net.node_ids();
+    let mut rng = derive_rng(seed, "stale-ring-lookups");
+    let mut resolved = 0u64;
+    for i in 0..300u64 {
+        let from = ids[rng.gen_range(0..ids.len())];
+        let key = RingId::hash_bytes(format!("stale-ring-{seed}-{i}").as_bytes());
+        resolved += u64::from(net.lookup(from, key).is_ok());
+    }
+    let bill = |net: &ChordNet, kind| net.stats().count(kind);
+    assert_eq!(
+        [
+            resolved,
+            bill(&net, MsgKind::LookupHop),
+            bill(&net, MsgKind::Failed)
+        ],
+        [300, 1213, 3186],
+        "lookups resolved, hops and dead-finger probes billed on the stale ring"
+    );
+
+    // One stabilize + one fix-fingers call per round, no convergence loop.
+    // Each round's bill starts where the previous one ended, so the third
+    // includes the joins' own maintenance traffic.
+    let round = |net: &mut ChordNet| {
+        let changed = [net.stabilize_round(), net.fix_fingers_round()];
+        let billed = [bill(net, MsgKind::Maintenance), bill(net, MsgKind::Failed)];
+        net.reset_stats();
+        (changed, fingerprint_ring(net), billed)
+    };
+    net.reset_stats();
+    let first = round(&mut net);
+    let second = round(&mut net);
+    for i in 0..8u64 {
+        let id = RingId::hash_bytes(format!("stale-ring-join-{seed}-{i}").as_bytes());
+        let bootstrap = net.node_ids()[0];
+        net.join(id, bootstrap).expect("bootstrap is alive");
+    }
+    let third = round(&mut net);
+    assert_eq!(
+        [first, second, third],
+        [
+            ([58, 3728], 0x7b61aeb2ef5c1daf75d5f5eba3d424bd, [4099, 9208]),
+            ([29, 0], 0x5d1e22166916a796b6a778c3bdd3740f, [3951, 0]),
+            ([37, 1093], 0x9a2d8bec3ea032d52128327f5d8c5174, [4307, 0]),
+        ],
+        "per round: [stabilize, fix_fingers] changes, ring fingerprint, [Maintenance, Failed] bill"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Pinned learning runs whose index depends on *when* a delivered record
 // is installed relative to delivery gating and to the same pass's
