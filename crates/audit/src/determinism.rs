@@ -63,7 +63,7 @@ pub fn fingerprint_ring(net: &ChordNet) -> u128 {
         for s in node.successor_list() {
             feed_u128(&mut h, s.0);
         }
-        for f in node.finger_table() {
+        for f in node.fingers() {
             feed_u128(&mut h, f.0);
         }
     }

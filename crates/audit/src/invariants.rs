@@ -251,7 +251,7 @@ pub fn check_ring(net: &ChordNet) -> Vec<Violation> {
             let expected = net
                 .oracle_owner(id.finger_start(k as u32))
                 .expect("ring is non-empty here");
-            let found = node.finger_table()[k];
+            let found = node.finger(k);
             if found != expected {
                 out.push(Violation::WrongFinger {
                     node: id,

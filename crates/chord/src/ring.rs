@@ -20,7 +20,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use sprite_util::{derive_rng, RingId, ID_BITS};
 
-use crate::node::NodeState;
+use crate::node::{FingerTable, NodeState};
 use crate::sim::{self, SimConfig};
 use crate::stats::{MsgKind, NetStats};
 use crate::store::NodeStore;
@@ -339,6 +339,15 @@ impl ChordNet {
         self.nodes.logical_bytes()
     }
 
+    /// Bytes the routing state actually occupies — the arena, every node's
+    /// heap blocks and the `id → slot` index, by capacity. Unlike
+    /// [`Self::logical_state_bytes`] it depends on allocation history, so
+    /// it is bounded by tests, never gated exactly.
+    #[must_use]
+    pub fn resident_state_bytes(&self) -> u64 {
+        self.nodes.resident_bytes()
+    }
+
     /// Message counters.
     #[must_use]
     pub fn stats(&self) -> &NetStats {
@@ -409,17 +418,11 @@ impl ChordNet {
     /// oracle says it should be? (Convergence check for churn tests.)
     #[must_use]
     pub fn is_converged(&self) -> bool {
+        let ids: Vec<u128> = self.sorted.iter().copied().collect();
         self.nodes.values().all(|node| {
-            let want_succ = self
-                .oracle_owner(RingId(node.id().0.wrapping_add(1)))
-                .expect("non-empty");
-            node.successor() == want_succ
-                && (0..ID_BITS).all(|k| {
-                    let want = self
-                        .oracle_owner(node.id().finger_start(k))
-                        .expect("non-empty");
-                    node.finger_table()[k as usize] == want
-                })
+            let ideal = FingerTable::ideal(node.id(), &ids);
+            // Finger 0 starts at `id + 1`: its owner is the successor.
+            node.successor() == ideal.get(0) && node.fingers == ideal
         })
     }
 
@@ -438,13 +441,10 @@ impl ChordNet {
             let id = RingId(idv);
             let succ: Vec<RingId> = (1..=r.max(1)).map(|j| RingId(ids[(i + j) % n])).collect();
             let pred = RingId(ids[(i + n - 1) % n]);
-            let fingers: Vec<RingId> = (0..ID_BITS)
-                .map(|k| self.oracle_owner(id.finger_start(k)).expect("non-empty"))
-                .collect();
             let node = self.nodes.get_mut(idv).expect("id from sorted set");
             node.succ = succ;
             node.pred = Some(pred);
-            node.fingers = fingers;
+            node.fingers = FingerTable::ideal(id, &ids);
         }
     }
 
@@ -923,9 +923,7 @@ impl ChordNet {
                 }
                 if found.is_none() {
                     found = node
-                        .finger_table()
-                        .iter()
-                        .copied()
+                        .fingers()
                         .find(|f| *f != id && self.nodes.contains(f.0));
                 }
                 (found, failed)
@@ -999,20 +997,14 @@ impl ChordNet {
                 if let Some(pf) = prev {
                     if pf != id && start.in_open_closed(id, pf) {
                         let node = self.nodes.get_mut(idv).expect("alive");
-                        if node.fingers[k as usize] != pf {
-                            node.fingers[k as usize] = pf;
-                            changes += 1;
-                        }
+                        changes += usize::from(node.fingers.set(k as usize, pf));
                         continue;
                     }
                 }
                 let resolved = self.route(id, start, MsgKind::Maintenance).map(|l| l.owner);
                 if let Ok(owner) = resolved {
                     let node = self.nodes.get_mut(idv).expect("alive");
-                    if node.fingers[k as usize] != owner {
-                        node.fingers[k as usize] = owner;
-                        changes += 1;
-                    }
+                    changes += usize::from(node.fingers.set(k as usize, owner));
                     prev = Some(owner);
                 } else {
                     prev = None;
@@ -1052,10 +1044,9 @@ impl ChordNet {
                     node.successor_list().len() <= self.cfg.succ_list_len,
                     "successor list of {idv} exceeds configured length"
                 );
-                debug_assert_eq!(
-                    node.finger_table().len(),
-                    ID_BITS as usize,
-                    "finger table of {idv} has wrong length"
+                debug_assert!(
+                    node.fingers.is_well_formed(),
+                    "finger table of {idv} is not a canonical run table"
                 );
             }
         }
@@ -1088,6 +1079,32 @@ mod tests {
         let net = ring_of(32);
         assert_eq!(net.len(), 32);
         assert!(net.is_converged());
+    }
+
+    #[test]
+    fn one_wrong_finger_at_any_position_is_not_converged() {
+        let mut net = ring_of(32);
+        let victim = net.node_ids()[5];
+        for k in 0..ID_BITS as usize {
+            let right = net.node(victim).expect("alive").finger(k);
+            // With 31 other peers no finger of the victim is the victim.
+            net.node_mut(victim).expect("alive").set_finger(k, victim);
+            assert!(!net.is_converged(), "wrong entry {k} went unnoticed");
+            net.node_mut(victim).expect("alive").set_finger(k, right);
+        }
+        assert!(net.is_converged());
+    }
+
+    #[test]
+    fn ring_state_occupies_a_third_of_its_logical_bytes_at_most() {
+        // 128 finger entries per peer are counted, ≈ log2 N runs are stored.
+        let net = ring_of(10_000);
+        let (resident, logical) = (net.resident_state_bytes(), net.logical_state_bytes());
+        assert_eq!(logical, 10_000 * 2_228);
+        assert!(
+            resident * 3 <= logical,
+            "resident {resident} B vs logical {logical} B"
+        );
     }
 
     #[test]

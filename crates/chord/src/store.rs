@@ -3,15 +3,15 @@
 //! Every peer's [`NodeState`] lives in one dense **arena**: states sit
 //! contiguously in a `Vec`, and a compact `id → slot` index gives O(1)
 //! access while successor/finger chasing walks contiguous memory — at
-//! 100k+ peers a per-node `HashMap<u128, NodeState>` scatters the states
-//! across the heap and hashes a 16-byte key into a sparse table on every
-//! hop.
+//! 100k+ peers a map holding the states themselves scatters them across
+//! the heap. A walk asks the index about three ids per hop, so it
+//! is an [`IdMap`]: ids are MD5 output and are folded, not SipHashed.
 //!
 //! Nothing about iteration order is observable — the ring-order source of
 //! truth stays the sorted id set in `ChordNet` — so the slot a node lands
 //! in never reaches a fingerprint.
 
-use std::collections::HashMap;
+use sprite_util::IdMap;
 
 use crate::node::NodeState;
 
@@ -20,7 +20,7 @@ use crate::node::NodeState;
 /// index fixup, so slots stay dense forever. All accessors are O(1).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct NodeStore {
-    index: HashMap<u128, u32>,
+    index: IdMap<u32>,
     nodes: Vec<NodeState>,
 }
 
@@ -91,6 +91,17 @@ impl NodeStore {
     /// ring's contents and safe to gate exactly.
     pub(crate) fn logical_bytes(&self) -> u64 {
         self.values().map(|n| n.logical_bytes() + 16 + 4).sum()
+    }
+
+    /// Bytes the store occupies, by capacity: arena slots, each node's
+    /// heap blocks, and the index (a padded `(id, slot)` pair plus one
+    /// control byte per bucket; the table keeps ⅞ of its buckets usable).
+    pub(crate) fn resident_bytes(&self) -> u64 {
+        let spare_slots = self.nodes.capacity() - self.nodes.len();
+        let buckets = (self.index.capacity() * 8).div_ceil(7);
+        self.values().map(NodeState::resident_bytes).sum::<u64>()
+            + (spare_slots * std::mem::size_of::<NodeState>()
+                + buckets * (std::mem::size_of::<(u128, u32)>() + 1)) as u64
     }
 }
 

@@ -26,7 +26,7 @@ use sprite_chord::{
 };
 use sprite_corpus::DocEvent;
 use sprite_ir::{Corpus, DocId, Hit, Query, TermId};
-use sprite_util::{derive_rng, EventQueue, Md5, RingId, WireSize};
+use sprite_util::{derive_rng, EventQueue, IdMap, Md5, RingId, WireSize};
 
 use crate::config::{IdfMode, SpriteConfig};
 use crate::learn;
@@ -86,7 +86,7 @@ pub struct SpriteSystem {
     net: ChordNet,
     peers: Vec<RingId>,
     /// Indexing-role state per peer (keyed by ring id).
-    indexing: HashMap<u128, IndexingState>,
+    indexing: IdMap<IndexingState>,
     /// Owner-role state, one per document.
     owners: Vec<OwnerDoc>,
     /// Which peer owns (shares) each document.
@@ -207,7 +207,7 @@ impl SpriteSystem {
             corpus,
             net,
             peers,
-            indexing: HashMap::new(),
+            indexing: IdMap::default(),
             owners,
             doc_owner,
             deleted,
@@ -1265,7 +1265,7 @@ impl SpriteSystem {
         }
     }
 
-    pub(crate) fn indexing_mut(&mut self) -> &mut HashMap<u128, IndexingState> {
+    pub(crate) fn indexing_mut(&mut self) -> &mut IdMap<IndexingState> {
         &mut self.indexing
     }
 

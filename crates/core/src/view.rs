@@ -30,12 +30,10 @@
 //! [`RankScratch`] keeps the accumulation arrays alive across queries so
 //! the hot loop stops reallocating them.
 
-use std::collections::HashMap;
-
 use sprite_chord::trace::{self, NullTrace, Phase, TraceSink};
 use sprite_chord::{ChordNet, MsgKind, NetStats, RouteMemo};
 use sprite_ir::{Corpus, DocId, Hit, Query, Similarity, TermId};
-use sprite_util::RingId;
+use sprite_util::{IdMap, RingId};
 
 use crate::config::{IdfMode, SpriteConfig};
 use crate::peer::IndexingState;
@@ -124,7 +122,7 @@ impl RankScratch {
 pub struct QueryView<'a> {
     cfg: &'a SpriteConfig,
     net: &'a ChordNet,
-    indexing: &'a HashMap<u128, IndexingState>,
+    indexing: &'a IdMap<IndexingState>,
     corpus: &'a Corpus,
     peers: &'a [RingId],
     term_pos: &'a [Option<RingId>],
@@ -135,7 +133,7 @@ impl<'a> QueryView<'a> {
     pub(crate) fn new(
         cfg: &'a SpriteConfig,
         net: &'a ChordNet,
-        indexing: &'a HashMap<u128, IndexingState>,
+        indexing: &'a IdMap<IndexingState>,
         corpus: &'a Corpus,
         peers: &'a [RingId],
         term_pos: &'a [Option<RingId>],

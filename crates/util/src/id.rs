@@ -4,7 +4,10 @@
 //! uses MD5, so the circle is 2^128 positions (§6 of the paper). This module
 //! provides the [`RingId`] newtype with the modular arithmetic Chord needs:
 //! half-open interval membership (`in_range`), clockwise distance, and
-//! finger-table offsets.
+//! finger-table offsets — and [`IdMap`], the hash map keyed by such ids.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::md5::md5;
 
@@ -75,6 +78,44 @@ impl RingId {
         }
     }
 }
+
+/// Hasher for maps keyed by ring ids. An id is MD5 output — already
+/// uniform — so it is folded (`hi ^ lo`) and multiplied once rather than
+/// run through SipHash, and there is no per-process random state: equal
+/// maps iterate in equal order. The multiplier is odd, so distinct folds
+/// give distinct hashes. Not for keys an adversary can choose.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct IdHasher(u64);
+
+impl IdHasher {
+    /// 2^64 / φ, the Fibonacci-hashing multiplier.
+    const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::MUL);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u128(&mut self, id: u128) {
+        self.mix((id >> 64) as u64 ^ id as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A hash map keyed by raw ring-id values, hashed through [`IdHasher`].
+pub type IdMap<V> = HashMap<u128, V, BuildHasherDefault<IdHasher>>;
 
 impl std::fmt::Debug for RingId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -152,6 +193,28 @@ mod tests {
         assert_eq!(A.distance_cw(B), 10);
         assert_eq!(B.distance_cw(A), u128::MAX - 10 + 1);
         assert_eq!(A.distance_cw(A), 0);
+    }
+
+    fn id_hash(id: u128) -> u64 {
+        use std::hash::Hash;
+        let mut h = IdHasher::default();
+        id.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn id_hasher_separates_halves_and_small_ids() {
+        let base = RingId::hash_term("abc").0;
+        assert_ne!(id_hash(base), id_hash(base ^ (1 << 64)), "high half only");
+        assert_ne!(id_hash(base), id_hash(base ^ 1), "low half only");
+        // The small consecutive ids of the ring unit tests.
+        let small: std::collections::BTreeSet<u64> =
+            (1..=64u128).map(|i| id_hash(i * 10)).collect();
+        assert_eq!(small.len(), 64);
+        // A `RingId` key hashes as its value: both go through `write_u128`.
+        let mut h = IdHasher::default();
+        std::hash::Hash::hash(&RingId(base), &mut h);
+        assert_eq!(h.finish(), id_hash(base));
     }
 
     #[test]

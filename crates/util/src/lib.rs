@@ -6,7 +6,7 @@
 //! * [`md5()`] — the MD5 digest (RFC 1321) used to hash terms, queries, and
 //!   peer addresses onto the Chord ring (SPRITE §6);
 //! * [`id`] — 128-bit ring identifiers with Chord's wrap-around interval
-//!   arithmetic;
+//!   arithmetic, and the [`IdMap`] keyed by them;
 //! * [`zipf`] — exact Zipf sampling for term statistics and the `w-zipf`
 //!   query schedule of Figure 4(b);
 //! * [`topk`] — bounded top-k selection used for term budgets and answer
@@ -46,7 +46,7 @@ pub use codec::{
 };
 pub use event::EventQueue;
 pub use hist::Histogram;
-pub use id::{RingId, ID_BITS};
+pub use id::{IdHasher, IdMap, RingId, ID_BITS};
 pub use md5::{md5, md5_u128, Digest, Md5};
 pub use pool::{configured_threads, override_threads, par_map, par_map_init};
 pub use rng::{derive_rng, DetRng, SliceRng, UniformRange};
