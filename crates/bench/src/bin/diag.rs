@@ -33,6 +33,7 @@ fn main() {
         let mut docs_total = 0usize;
         for &qi in &world.test {
             let gq = &world.workload[qi];
+            #[allow(clippy::iter_over_hash_type)] // counts only, order-free
             for &d in &gq.relevant {
                 let doc = sys.corpus().doc(d);
                 let published = sys.published_terms(d);

@@ -1,20 +1,18 @@
 //! `gate` — the CI results gate over `BENCH_experiments.json`.
 //!
-//! First runs the workspace source lint in-process (`sprite_audit::analyze`
-//! — same engine as `sprite-lint`), then recollects the results table
-//! (`sprite_bench::metrics::collect`, the code `--bin bench` writes the
-//! baseline with) from a fresh `SPRITE_SCALE=small` run (the committed
-//! baseline's scale; override with the usual variable) and diffs it
-//! against the committed baseline in both directions: counts, byte totals
-//! and histogram buckets exactly, ratios within `RATIO_TOLERANCE`, every
-//! baseline field the run no longer produces, and the within-run
-//! requirements (lossless points bill no timeouts and lossy points some,
-//! no deleted-document hit, no surviving tombstone, the incremental-update
-//! savings floor) whatever the baseline says. Nothing compared involves a
-//! clock, so the verdict is the same on every host and every run.
-//! Exits 0 when clean, 1 with one readable line per lint violation or
-//! divergence when not, 2 when the baseline is missing, unparseable, or
-//! was generated at a different scale.
+//! Recollects the results table (`sprite_bench::metrics::collect`, the
+//! code `--bin bench` writes the baseline with) from a fresh
+//! `SPRITE_SCALE=small` run (the committed baseline's scale; override
+//! with the usual variable) and diffs it against the committed baseline
+//! in both directions: counts, byte totals and histogram buckets exactly,
+//! ratios within `RATIO_TOLERANCE`, every baseline field the run no
+//! longer produces, and the within-run requirements (lossless points bill
+//! no timeouts and lossy points some, no deleted-document hit, no
+//! surviving tombstone, the incremental-update savings floor) whatever
+//! the baseline says. Nothing compared involves a clock, so the verdict
+//! is the same on every host and every run. Exits 0 when clean, 1 with
+//! one readable line per divergence when not, 2 when the baseline is
+//! missing, unparseable, or was generated at a different scale.
 //!
 //! Run: `cargo run -p sprite-bench --bin gate --release [baseline.json]`
 
@@ -47,30 +45,6 @@ fn main() -> ExitCode {
                 "gate: baseline was generated at SPRITE_SCALE={baseline_scale} but this run \
                  is at SPRITE_SCALE={scale}; rerun with a matching scale"
             );
-            return ExitCode::from(2);
-        }
-    }
-
-    // Source lint first: a determinism violation in the source makes the
-    // diff below meaningless.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .unwrap_or_else(|_| std::path::PathBuf::from("."));
-    match sprite_audit::analyze(&root) {
-        Ok(diags) if diags.is_empty() => {}
-        Ok(diags) => {
-            for d in &diags {
-                println!("gate: lint: {d}");
-            }
-            println!(
-                "gate: {} lint violation(s); fix before gating results",
-                diags.len()
-            );
-            return ExitCode::FAILURE;
-        }
-        Err(e) => {
-            eprintln!("gate: cannot lint workspace sources: {e}");
             return ExitCode::from(2);
         }
     }

@@ -15,7 +15,6 @@
 //! * `huge` — the 100,000-peer population-scale tier (what `benchmark/`'s
 //!   `route-huge` workload and the nightly CI job run).
 
-#![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
 pub mod json;

@@ -16,7 +16,6 @@
 //!   Bernoulli loss) behind the event-driven delivery layer; the default
 //!   perfect network is bit-identical to lockstep execution.
 
-#![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]

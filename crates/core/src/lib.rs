@@ -21,7 +21,6 @@
 //! * [`trace`] — per-query [`QueryTrace`] reports for the observability
 //!   layer (`sprite-trace`).
 
-#![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]

@@ -319,6 +319,9 @@ impl IndexingState {
     /// copied.
     pub fn absorb_replica(&mut self, other: &IndexingState) -> usize {
         let mut copied = 0;
+        // Each term merges on its own and `copied` is a sum: any order
+        // leaves the same state.
+        #[allow(clippy::iter_over_hash_type)]
         for (&t, list) in &other.inverted {
             self.absorb_list(t, list);
             copied += list.len();

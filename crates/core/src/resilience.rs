@@ -716,6 +716,7 @@ mod tests {
         for i in 0..sys.corpus().len() {
             let doc = DocId(i as u32);
             let owner = sys.owner_state(doc);
+            #[allow(clippy::iter_over_hash_type)] // one assertion per term, order-free
             for t in &owner.excluded {
                 assert!(
                     !owner.published.contains(t),
@@ -733,6 +734,7 @@ mod tests {
         for i in 0..sys.corpus().len() {
             let doc = DocId(i as u32);
             let owner = sys.owner_state(doc);
+            #[allow(clippy::iter_over_hash_type)] // one assertion per term, order-free
             for t in &owner.excluded {
                 assert!(
                     !owner.published.contains(t),

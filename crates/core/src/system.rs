@@ -1808,6 +1808,7 @@ mod tests {
         // Re-publishing after the failure repopulates the cache; every set
         // resolved post-churn may only list live peers.
         sys.ship_record(DocId(0), t, &mut untraced(&mut NullTrace), &mut Vec::new());
+        #[allow(clippy::iter_over_hash_type)] // one assertion per set, order-free
         for (k, replicas) in &sys.replica_cache {
             for r in replicas {
                 assert!(

@@ -15,7 +15,6 @@
 //! document-churn engine (insert/update/delete streams) for the live
 //! corpus dynamics study.
 
-#![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]

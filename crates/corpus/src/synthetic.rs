@@ -393,6 +393,7 @@ mod tests {
         let sc = tiny();
         let docs0 = sc.topic_docs(0);
         assert!(!docs0.is_empty(), "topic 0 should appear somewhere");
+        #[allow(clippy::iter_over_hash_type)] // one assertion per doc, order-free
         for d in &docs0 {
             assert!(sc.doc_topics(*d).contains(&0));
         }
@@ -407,6 +408,7 @@ mod tests {
         let docs = sc.topic_docs(0);
         let mut core_tokens = 0u32;
         let mut all_tokens = 0u32;
+        #[allow(clippy::iter_over_hash_type)] // sums, order-free
         for d in &docs {
             // Only single-topic docs for a clean measurement.
             if sc.doc_topics(*d).len() != 1 {

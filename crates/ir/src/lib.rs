@@ -11,7 +11,6 @@
 //! * [`eval`] — precision/recall at K and the ratio-over-centralized
 //!   reporting of §6.
 
-#![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]

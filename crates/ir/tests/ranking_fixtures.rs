@@ -44,6 +44,7 @@ fn vocabulary_round_trips_through_the_analyzer() {
     let ids: Vec<TermId> = counts.counts.keys().map(|t| vocab.intern(t)).collect();
     // Idempotent: re-interning the same strings mints no new ids.
     let before = vocab.len();
+    #[allow(clippy::iter_over_hash_type)] // one assertion per term, order-free
     for t in counts.counts.keys() {
         assert_eq!(vocab.intern(t), vocab.get(t).expect("already interned"));
     }

@@ -6,7 +6,6 @@
 //! stop list is Lucene's English list (the paper's choice); the stemmer is
 //! a from-scratch Porter (1980) implementation.
 
-#![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]

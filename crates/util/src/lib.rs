@@ -24,7 +24,6 @@
 //! * [`event`] — the `(time, seq)`-keyed discrete-event queue behind the
 //!   event-driven message delivery layer.
 
-#![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]

@@ -26,8 +26,8 @@
 //! machine.
 //!
 //! This module is the only place in the workspace allowed to touch
-//! `std::thread::spawn` / `std::thread::scope` (enforced by `sprite-lint`'s
-//! `no-raw-spawn` rule).
+//! `std::thread::spawn` / `std::thread::scope` (enforced by clippy's
+//! `disallowed_methods` lint, configured in `clippy.toml`).
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -159,6 +159,9 @@ where
             .expect("a pool worker panicked while publishing results")
             .extend(local);
     };
+    // The pool is the one place threads are started: results are put
+    // back in input order below, so callers see no thread interleaving.
+    #[allow(clippy::disallowed_methods)]
     std::thread::scope(|scope| {
         // The caller is worker zero: it claims chunks instead of blocking
         // at the join, so a width-N map spawns only N − 1 threads.

@@ -33,7 +33,6 @@
 //! assert!(!hits.is_empty() && hits.len() <= 10);
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
 pub use sprite_audit as audit;

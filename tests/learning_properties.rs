@@ -110,6 +110,7 @@ fn stats_are_monotone() {
         let _ = algorithm1(&doc, &mut stats, &history, 10);
         let before = stats.clone();
         let _ = algorithm1(&doc, &mut stats, &extra, 10);
+        #[allow(clippy::iter_over_hash_type)] // one assertion per term, order-free
         for (t, s) in &before {
             let after = stats[t];
             assert!(after.qf >= s.qf);
