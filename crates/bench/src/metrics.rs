@@ -3,7 +3,8 @@
 //! Everything this crate gates is *simulated*: precision/recall ratios,
 //! message and byte ledgers, histograms, logical memory — pure functions
 //! of seed and scale. (Wall-clock lives in `benchmark/` and nowhere else;
-//! `sprite-lint`'s `no-ambient-time` rule holds this crate to that.) Each
+//! clippy's `disallowed_types` ban in `clippy.toml` holds this crate to
+//! that.) Each
 //! collector flattens its object to [`Row`]s — a dotted path, a [`Value`]
 //! whose variant is the row's tolerance class, and an optional [`Within`]
 //! requirement the run must meet on its own. [`to_json`] nests rows into

@@ -673,8 +673,9 @@ impl ChordNet {
     }
 
     /// [`Self::charge`] that also emits the matching trace event. Query-path
-    /// modules use this (enforced by `sprite-lint`) so accounting and
-    /// tracing cannot diverge.
+    /// modules use this so accounting and tracing cannot diverge (the
+    /// recorder-equals-bill assertions in `tests/end_to_end.rs` catch a
+    /// bypass).
     pub fn charge_traced<T: TraceSink>(
         &mut self,
         kind: MsgKind,
@@ -702,8 +703,8 @@ impl ChordNet {
     /// Charge `bytes` payload bytes to `kind`, mirrored into `sink`. Byte
     /// charges ride on messages billed separately via
     /// [`Self::charge_traced`]/[`Self::charge_n_traced`]; this is the only
-    /// spelling charge-audited modules may use (enforced by `sprite-lint`),
-    /// so `NetStats` and recorder byte totals cannot diverge.
+    /// spelling query-path modules may use, so `NetStats` and recorder byte
+    /// totals cannot diverge (checked kind by kind in `tests/end_to_end.rs`).
     pub fn charge_bytes_traced<T: TraceSink>(&mut self, kind: MsgKind, bytes: u64, sink: &mut T) {
         trace::charge_bytes(&mut self.stats, sink, kind, bytes);
     }

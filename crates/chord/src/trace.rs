@@ -334,8 +334,9 @@ impl TraceSink for TraceRecorder {
 
 /// Charge one message to `stats` and, when the sink is enabled, emit the
 /// matching event. This is the helper query-path modules must use instead
-/// of calling `NetStats::record` directly (enforced by `sprite-lint`), so
-/// accounting and tracing cannot diverge.
+/// of calling `NetStats::record` directly, so accounting and tracing cannot
+/// diverge (the recorder-equals-bill assertions in `tests/end_to_end.rs`
+/// catch a bypass).
 #[inline]
 pub fn charge<T: TraceSink>(
     stats: &mut NetStats,
