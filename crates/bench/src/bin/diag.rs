@@ -3,14 +3,23 @@
 //! document? This is the mechanism behind every Figure-4 gap — plus a
 //! [`sprite_core::QueryTrace`] walkthrough of the first few test queries
 //! (per-keyword routes, owner hits, failover paths, message bills).
+//!
+//! Run: `cargo run -p sprite-bench --bin diag --release [tiny|small|full|huge]`
+//! (default `full`).
 
-use sprite_bench::{build_world, print_table, r3};
+use std::process::ExitCode;
+
 use sprite_chord::NetStats;
-use sprite_core::{RankScratch, SpriteConfig, SpriteSystem};
+use sprite_core::{RankScratch, SpriteConfig, SpriteSystem, World, WorldConfig};
 use sprite_corpus::Schedule;
 
-fn main() {
-    let world = build_world(42);
+fn main() -> ExitCode {
+    let scale = std::env::args().nth(1).unwrap_or_else(|| "full".into());
+    let Some(config) = WorldConfig::named(&scale, 42) else {
+        eprintln!("diag: unknown scale {scale:?} (expected tiny, small, full or huge)");
+        return ExitCode::FAILURE;
+    };
+    let world = World::build(config);
     // Trace the learning pipeline.
     {
         let mut sys = world.new_system(SpriteConfig::default());
@@ -59,16 +68,12 @@ fn main() {
         )
     };
 
-    let (sp_terms, sp_docs) = coverage(&sprite);
-    let (es_terms, es_docs) = coverage(&esearch);
-    print_table(
-        "Query-term index coverage over relevant documents (test set)",
-        &["system", "term coverage", "docs reachable"],
-        &[
-            vec!["SPRITE(20)".into(), r3(sp_terms), r3(sp_docs)],
-            vec!["eSearch(20)".into(), r3(es_terms), r3(es_docs)],
-        ],
-    );
+    println!("## Query-term index coverage over relevant documents (test set)\n");
+    println!("system       term coverage  docs reachable");
+    for (name, sys) in [("SPRITE(20)", &sprite), ("eSearch(20)", &esearch)] {
+        let (terms, docs) = coverage(sys);
+        println!("{name:<11}  {terms:>13.3}  {docs:>14.3}");
+    }
 
     // Where do SPRITE's published terms come from?
     let mut learned = 0usize;
@@ -117,4 +122,5 @@ fn main() {
     for qt in &traces {
         print!("{}", qt.render(sprite.corpus()));
     }
+    ExitCode::SUCCESS
 }

@@ -1,28 +1,28 @@
 //! `gate` — the CI results gate over `BENCH_experiments.json`.
 //!
 //! Recollects the results table (`sprite_bench::metrics::collect`, the
-//! code `--bin bench` writes the baseline with) from a fresh
-//! `SPRITE_SCALE=small` run (the committed baseline's scale; override
-//! with the usual variable) and diffs it against the committed baseline
-//! in both directions: counts, byte totals and histogram buckets exactly,
-//! ratios within `RATIO_TOLERANCE`, every baseline field the run no
-//! longer produces, and the within-run requirements (lossless points bill
+//! code `--bin bench` writes the baseline with) from a fresh run at
+//! `sprite_bench::BASELINE_SCALE` and diffs it against the committed
+//! baseline in both directions: counts, byte totals and histogram buckets
+//! exactly, ratios within `RATIO_TOLERANCE`, every baseline field the run
+//! no longer produces, the within-run requirements (lossless points bill
 //! no timeouts and lossy points some, no deleted-document hit, no
-//! surviving tombstone, the incremental-update savings floor) whatever
-//! the baseline says. Nothing compared involves a clock, so the verdict
-//! is the same on every host and every run. Exits 0 when clean, 1 with
-//! one readable line per divergence when not, 2 when the baseline is
-//! missing, unparseable, or was generated at a different scale.
+//! surviving tombstone, the incremental-update savings floor) and the
+//! paper's shape claims (`metrics::verdicts`) whatever the baseline says.
+//! Nothing compared involves a clock, so the verdict is the same on every
+//! host and every run. Exits 0 when clean, 1 with one readable line per
+//! divergence when not, 2 when the baseline is missing, unparseable, or
+//! was generated at another scale.
 //!
 //! Run: `cargo run -p sprite-bench --bin gate --release [baseline.json]`
 
 use std::process::ExitCode;
 
 use sprite_bench::json::{self, JsonValue};
-use sprite_bench::metrics::{collect, compare};
+use sprite_bench::metrics::{collect, compare, verdicts};
+use sprite_bench::BASELINE_SCALE;
 
 fn main() -> ExitCode {
-    let scale = sprite_bench::baseline_scale();
     let baseline_path = sprite_bench::baseline_path();
 
     let text = match std::fs::read_to_string(&baseline_path) {
@@ -39,19 +39,21 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if let Some(baseline_scale) = baseline.get("scale").and_then(JsonValue::as_str) {
-        if baseline_scale != scale {
+    if let Some(scale) = baseline.get("scale").and_then(JsonValue::as_str) {
+        if scale != BASELINE_SCALE {
             eprintln!(
-                "gate: baseline was generated at SPRITE_SCALE={baseline_scale} but this run \
-                 is at SPRITE_SCALE={scale}; rerun with a matching scale"
+                "gate: baseline was generated at scale {scale}, but the gate runs at \
+                 {BASELINE_SCALE}; regenerate it with `cargo run -p sprite-bench --bin bench \
+                 --release`"
             );
             return ExitCode::from(2);
         }
     }
 
-    eprintln!("# gate: scale={scale}, baseline {baseline_path}");
-    let rows = collect(&sprite_bench::build_world(42));
-    let diffs = compare(&rows, &baseline);
+    eprintln!("# gate: scale={BASELINE_SCALE}, baseline {baseline_path}");
+    let rows = collect(&sprite_bench::baseline_world());
+    let mut diffs = compare(&rows, &baseline);
+    diffs.extend(verdicts(&rows));
     if diffs.is_empty() {
         println!(
             "gate: all {} gated fields match the committed baseline",

@@ -1,56 +1,63 @@
-//! The `sprite` command-line tool: inspect generated worlds, run the
-//! paper's figures, search a live deployment, and print load reports —
-//! all from one binary.
+//! The `sprite` command-line tool: inspect generated worlds, print the
+//! paper's figures and studies from the gated results table, search a
+//! live deployment, and print load reports — all from one binary.
 //!
 //! ```text
-//! sprite corpus  [--scale tiny|small|full] [--seed N]
+//! sprite corpus  [--scale tiny|small|full|huge] [--seed N]
 //! sprite search  [--scale ...] [--seed N] [--learn N] <word>...
-//! sprite figure  <4a|4b|4c> [--scale ...] [--seed N]
+//! sprite figure  <object|all> [--scale ...] [--seed N]
 //! sprite load    [--scale ...] [--seed N] [--replication R]
 //! ```
 
 use std::process::ExitCode;
 
-use sprite::core::{fig4a, fig4b, fig4c, SpriteConfig, World, WorldConfig};
+use sprite::core::{SpriteConfig, World, WorldConfig};
 use sprite::corpus::Schedule;
+use sprite_bench::metrics::{render, verdicts, OBJECTS};
 
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq)]
 struct Args {
     command: Command,
-    scale: Scale,
+    /// A scale [`WorldConfig::named`] knows.
+    scale: String,
     seed: u64,
 }
 
 #[derive(Debug, Clone, PartialEq)]
 enum Command {
     Corpus,
-    Search { learn: usize, words: Vec<String> },
+    Search {
+        learn: usize,
+        words: Vec<String>,
+    },
+    /// An object of [`OBJECTS`], or `all` of them.
     Figure(String),
-    Load { replication: usize },
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Scale {
-    Tiny,
-    Small,
-    Full,
+    Load {
+        replication: usize,
+    },
 }
 
 const USAGE: &str = "\
 sprite — learning-based text retrieval in DHT networks (ICDE 2007 reproduction)
 
 USAGE:
-  sprite corpus  [--scale tiny|small|full] [--seed N]
+  sprite corpus  [--scale tiny|small|full|huge] [--seed N]
   sprite search  [--scale ...] [--seed N] [--learn N] <word>...
-  sprite figure  <4a|4b|4c> [--scale ...] [--seed N]
+  sprite figure  <object|all> [--scale ...] [--seed N]
   sprite load    [--scale ...] [--seed N] [--replication R]
+
+OBJECTS (the gated results table; 4a, 4b, 4c also name fig4a, fig4b, fig4c):
+  fig4a fig4b fig4c cost churn ablation metrics loss freshness memory
 
 OPTIONS:
   --scale        world size (default: tiny for corpus/search/load, small for figure)
   --seed N       master seed (default 42)
   --learn N      learning iterations before searching (default 3)
   --replication  index replication degree for the load report (default 1)
+
+`sprite figure` prints the object's rows, then every paper claim they
+break, and exits 1 if one broke.
 ";
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -58,7 +65,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let Some(cmd) = it.next() else {
         return Err("missing command".into());
     };
-    let mut scale: Option<Scale> = None;
+    let mut scale: Option<String> = None;
     let mut seed = 42u64;
     let mut learn = 3usize;
     let mut replication = 1usize;
@@ -67,12 +74,10 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         match arg.as_str() {
             "--scale" => {
                 let v = it.next().ok_or("--scale needs a value")?;
-                scale = Some(match v.as_str() {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "full" => Scale::Full,
-                    other => return Err(format!("unknown scale {other:?}")),
-                });
+                if WorldConfig::named(v, seed).is_none() {
+                    return Err(format!("unknown scale {v:?}"));
+                }
+                scale = Some(v.clone());
             }
             "--seed" => {
                 seed = it
@@ -111,37 +116,27 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
         }
         "figure" => {
-            let fig = positional
-                .first()
-                .ok_or("figure needs a panel: 4a, 4b, or 4c")?;
-            if !matches!(fig.as_str(), "4a" | "4b" | "4c") {
-                return Err(format!("unknown figure {fig:?} (expected 4a, 4b, or 4c)"));
-            }
-            Command::Figure(fig.clone())
+            let arg = positional.first().ok_or("figure needs an object, or all")?;
+            let object = OBJECTS
+                .iter()
+                .map(|(name, _)| *name)
+                .chain(["all"])
+                .find(|name| name == arg || name.strip_prefix("fig") == Some(arg))
+                .ok_or_else(|| format!("unknown object {arg:?} (see the list below)"))?;
+            Command::Figure(object.to_string())
         }
         "load" => Command::Load { replication },
         other => return Err(format!("unknown command {other:?}")),
     };
     let default_scale = match command {
-        Command::Figure(_) => Scale::Small,
-        _ => Scale::Tiny,
+        Command::Figure(_) => "small",
+        _ => "tiny",
     };
     Ok(Args {
         command,
-        scale: scale.unwrap_or(default_scale),
+        scale: scale.unwrap_or_else(|| default_scale.to_string()),
         seed,
     })
-}
-
-fn world_config(scale: Scale, seed: u64) -> WorldConfig {
-    match scale {
-        Scale::Tiny => WorldConfig::tiny(seed),
-        Scale::Small => WorldConfig::small(seed),
-        Scale::Full => WorldConfig {
-            seed,
-            ..WorldConfig::default()
-        },
-    }
 }
 
 fn main() -> ExitCode {
@@ -157,12 +152,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    run(args);
-    ExitCode::SUCCESS
+    run(args)
 }
 
-fn run(args: Args) {
-    let cfg = world_config(args.scale, args.seed);
+fn run(args: Args) -> ExitCode {
+    let cfg = WorldConfig::named(&args.scale, args.seed).expect("validated by parse_args");
     match args.command {
         Command::Corpus => {
             let world = World::build(cfg);
@@ -214,38 +208,21 @@ fn run(args: Args) {
         }
         Command::Figure(which) => {
             let world = World::build(cfg);
-            match which.as_str() {
-                "4a" => {
-                    let f = fig4a(&world, &[5, 10, 15, 20, 25, 30]);
-                    println!("answers  SPRITE-P  eSearch-P  SPRITE-R  eSearch-R");
-                    for (s, e) in f.sprite.iter().zip(&f.esearch) {
-                        println!(
-                            "{:>7}  {:>8.3}  {:>9.3}  {:>8.3}  {:>9.3}",
-                            s.x, s.precision, e.precision, s.recall, e.recall
-                        );
-                    }
-                }
-                "4b" => {
-                    let f = fig4b(&world, &[5, 10, 15, 20, 25, 30], 20);
-                    println!("terms  SPRITE-w/o-r  SPRITE-w-zipf  eSearch");
-                    for i in 0..f.esearch.len() {
-                        println!(
-                            "{:>5}  {:>12.3}  {:>13.3}  {:>7.3}",
-                            f.esearch[i].x,
-                            f.sprite_wor[i].precision,
-                            f.sprite_zipf[i].precision,
-                            f.esearch[i].precision
-                        );
-                    }
-                }
-                "4c" => {
-                    let f = fig4c(&world, 10, 20);
-                    println!("iter  SPRITE-P  eSearch-P   (switch at {})", f.switch_at);
-                    for (s, e) in f.sprite.iter().zip(&f.esearch) {
-                        println!("{:>4}  {:>8.3}  {:>9.3}", s.x, s.precision, e.precision);
-                    }
-                }
-                _ => unreachable!("validated by parse_args"),
+            let mut rows = Vec::new();
+            for (name, collect) in OBJECTS
+                .iter()
+                .filter(|(name, _)| which == "all" || which == *name)
+            {
+                let object = collect(&world);
+                println!("## {name}\n\n{}", render(&object));
+                rows.extend(object);
+            }
+            let broken = verdicts(&rows);
+            for line in &broken {
+                println!("claim broken: {line}");
+            }
+            if !broken.is_empty() {
+                return ExitCode::FAILURE;
             }
         }
         Command::Load { replication } => {
@@ -276,6 +253,7 @@ fn run(args: Args) {
             );
         }
     }
+    ExitCode::SUCCESS
 }
 
 #[cfg(test)]
@@ -290,14 +268,14 @@ mod tests {
     fn parses_corpus_defaults() {
         let a = parse_args(&argv("corpus")).unwrap();
         assert_eq!(a.command, Command::Corpus);
-        assert_eq!(a.scale, Scale::Tiny);
+        assert_eq!(a.scale, "tiny");
         assert_eq!(a.seed, 42);
     }
 
     #[test]
     fn parses_search_with_flags() {
         let a = parse_args(&argv("search --scale small --seed 7 --learn 5 foo bar")).unwrap();
-        assert_eq!(a.scale, Scale::Small);
+        assert_eq!(a.scale, "small");
         assert_eq!(a.seed, 7);
         assert_eq!(
             a.command,
@@ -311,8 +289,24 @@ mod tests {
     #[test]
     fn figure_defaults_to_small_scale() {
         let a = parse_args(&argv("figure 4a")).unwrap();
-        assert_eq!(a.command, Command::Figure("4a".into()));
-        assert_eq!(a.scale, Scale::Small);
+        assert_eq!(a.command, Command::Figure("fig4a".into()));
+        assert_eq!(a.scale, "small");
+    }
+
+    #[test]
+    fn figure_names_any_gated_object_or_all() {
+        let a = parse_args(&argv("figure cost --scale huge --seed 3")).unwrap();
+        assert_eq!(a.command, Command::Figure("cost".into()));
+        assert_eq!((a.scale.as_str(), a.seed), ("huge", 3));
+        let a = parse_args(&argv("figure all --scale full")).unwrap();
+        assert_eq!(a.command, Command::Figure("all".into()));
+        assert_eq!(a.scale, "full");
+        let unknown = parse_args(&argv("figure throughput")).unwrap_err();
+        assert!(unknown.contains("unknown object"), "{unknown}");
+        assert!(
+            parse_args(&argv("figure")).is_err(),
+            "figure needs an object"
+        );
     }
 
     #[test]
