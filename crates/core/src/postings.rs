@@ -1,7 +1,7 @@
 //! Posting-list storage: delta-gap-compressed blocks behind one
 //! [`PostingList`] type.
 //!
-//! The huge scale tier (`SPRITE_SCALE=huge`, 100k+ peers) cannot afford
+//! The huge scale tier (`WorldConfig::huge`, 100k+ peers) cannot afford
 //! `Vec<IndexEntry>` per term: each entry burns 32 logical bytes where
 //! the canonical wire encoding of §5.1 needs ~20 — and far less once
 //! document ids are delta-encoded. Every list in service therefore
