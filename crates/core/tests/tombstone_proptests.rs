@@ -11,22 +11,66 @@
 //! exactly what its entries published one by one, in any order, leave —
 //! and so is the block-level merge, [`PostingList::absorb`]: it leaves
 //! what publishing the donor's live entries one by one leaves.
+//!
+//! Every varint of the block — the document gap and the three metadata
+//! fields — is drawn across its 1-, 2-, 3- and 5-byte encodings, so the
+//! decoder is exercised past the single-byte case everywhere it runs.
 
 use sprite_core::{IndexEntry, PostingList};
 use sprite_ir::DocId;
-use sprite_util::{derive_rng, DetRng, RingId, SliceRng};
+use sprite_util::{derive_rng, varint_len, DetRng, RingId, SliceRng};
 
 fn rng(label: &str) -> DetRng {
     derive_rng(0xC0DE, label)
 }
 
-fn entry(r: &mut DetRng, doc: u32) -> IndexEntry {
+/// The document id of the `i`-th document of a test's document space.
+/// Ascending, with the gap before the next document cycling through 1-,
+/// 2-, 3- and 4-byte varints and a 5-byte gap after index 16 of every 64,
+/// so a list over any stretch of documents encodes multi-byte gaps, and
+/// one that spans or starts past index 16 a 5-byte one. Indices up to 512
+/// stay inside `u32`.
+fn doc_id(i: u32) -> DocId {
+    const GAPS: [u32; 6] = [1, 127, 128, 16_383, 16_384, 1 << 21];
+    let gap = |j: u32| match j % 64 {
+        16 => 1 << 28,
+        _ => GAPS[j as usize % 6],
+    };
+    DocId((0..i).map(gap).sum())
+}
+
+/// An entry for `doc` with random metadata. Each field is, half the time,
+/// a varint width boundary — 0, 127, 128, 16,383, 16,384, 2²¹, 2²⁸ or
+/// `u32::MAX` — and otherwise a small value.
+fn entry(r: &mut DetRng, doc: DocId) -> IndexEntry {
+    const EDGES: [u32; 8] = [0, 127, 128, 16_383, 16_384, 1 << 21, 1 << 28, u32::MAX];
+    let mut field = |small: std::ops::Range<usize>| {
+        if r.gen_range(0..2) == 0 {
+            EDGES[r.gen_range(0..EDGES.len())]
+        } else {
+            r.gen_range(small) as u32
+        }
+    };
+    let (tf, doc_len, distinct) = (field(1..50), field(10..500), field(5..100));
     IndexEntry {
-        doc: DocId(doc),
+        doc,
         owner: RingId(u128::from(r.gen_u64())),
-        tf: r.gen_range(1..50) as u32,
-        doc_len: r.gen_range(10..500) as u32,
-        distinct: r.gen_range(5..100) as u32,
+        tf,
+        doc_len,
+        distinct,
+    }
+}
+
+/// Marks, per field (doc gap, tf, doc length, distinct count), which varint
+/// widths the stored entries of a block — ascending by document — encode.
+fn note_widths(stored: &[(IndexEntry, bool)], seen: &mut [[bool; 6]; 4]) {
+    let mut prev = None;
+    for (e, _) in stored {
+        let gap = prev.map_or(e.doc.0, |p| e.doc.0 - p);
+        for (field, v) in [gap, e.tf, e.doc_len, e.distinct].into_iter().enumerate() {
+            seen[field][varint_len(u64::from(v))] = true;
+        }
+        prev = Some(e.doc.0);
     }
 }
 
@@ -105,13 +149,14 @@ fn check_agreement(list: &PostingList, model: &Model, step: usize) {
 #[test]
 fn random_interleavings_agree_with_the_naive_model() {
     let mut r = rng("interleave");
+    let mut widths = [[false; 6]; 4];
     for round in 0..64 {
         let mut list = PostingList::new(true);
         let mut model = Model::default();
         let doc_space = r.gen_range(4..24) as u32;
         let steps = r.gen_range(10..60);
         for step in 0..steps {
-            let doc = r.gen_range(0..doc_space as usize) as u32;
+            let doc = doc_id(r.gen_range(0..doc_space as usize) as u32);
             match r.gen_range(0..10) {
                 // Publishing dominates, mixing in-order appends (fresh
                 // high ids) with out-of-order splices and republishes.
@@ -121,13 +166,11 @@ fn random_interleavings_agree_with_the_naive_model() {
                     model.publish(e);
                 }
                 5..=6 => {
-                    let d = DocId(doc);
-                    let (got, want) = (list.tombstone(d), model.tombstone(d));
+                    let (got, want) = (list.tombstone(doc), model.tombstone(doc));
                     assert_eq!(got, want, "tombstone verdict, round {round} step {step}");
                 }
                 7 => {
-                    let d = DocId(doc);
-                    let (got, want) = (list.remove(d), model.remove(d));
+                    let (got, want) = (list.remove(doc), model.remove(doc));
                     assert_eq!(got, want, "remove verdict, round {round} step {step}");
                 }
                 _ => {
@@ -136,6 +179,16 @@ fn random_interleavings_agree_with_the_naive_model() {
                 }
             }
             check_agreement(&list, &model, step);
+            note_widths(&model.stored, &mut widths);
+        }
+    }
+    let fields = ["doc gap", "tf", "doc length", "distinct"];
+    for (field, seen) in fields.iter().zip(widths) {
+        for bytes in [1, 2, 3, 5] {
+            assert!(
+                seen[bytes],
+                "no {field} varint of {bytes} bytes was decoded"
+            );
         }
     }
 }
@@ -157,14 +210,14 @@ fn packed_bytes_are_append_only_until_cleanup() {
                 // bulk-publish fast path.
                 0..=3 => {
                     next_doc += 1 + r.gen_range(0..3) as u32;
-                    list.publish(entry(&mut r, next_doc));
+                    list.publish(entry(&mut r, doc_id(next_doc)));
                 }
                 // A whole run past the last stored document.
                 4 => {
                     let mut run = Vec::new();
                     for _ in 0..r.gen_range(1..5) {
                         next_doc += 1 + r.gen_range(0..3) as u32;
-                        run.push(entry(&mut r, next_doc));
+                        run.push(entry(&mut r, doc_id(next_doc)));
                     }
                     list.publish_run(&run);
                 }
@@ -177,7 +230,7 @@ fn packed_bytes_are_append_only_until_cleanup() {
                 // Tombstone an already-published id: marks only.
                 _ if next_doc > 0 => {
                     let victim = 1 + r.gen_range(0..next_doc as usize) as u32;
-                    list.tombstone(DocId(victim));
+                    list.tombstone(doc_id(victim));
                 }
                 _ => {}
             }
@@ -210,12 +263,12 @@ fn republish_sheds_a_pending_tombstone() {
         let mut list = PostingList::new(true);
         let docs = r.gen_range(3..10) as u32;
         for d in 0..docs {
-            list.publish(entry(&mut r, d));
+            list.publish(entry(&mut r, doc_id(d)));
         }
-        let victim = DocId(r.gen_range(0..docs as usize) as u32);
+        let victim = doc_id(r.gen_range(0..docs as usize) as u32);
         assert!(list.tombstone(victim));
         assert_eq!(list.dead_count(), 1);
-        let revived = entry(&mut r, victim.0);
+        let revived = entry(&mut r, victim);
         list.publish(revived);
         assert_eq!(list.dead_count(), 0, "republish must shed the tombstone");
         assert!(list.to_entries().contains(&revived));
@@ -227,7 +280,10 @@ fn republish_sheds_a_pending_tombstone() {
 /// random order, a few of them tombstoned, with the model that mirrors it.
 fn random_list(r: &mut DetRng, doc_space: u32) -> (PostingList, Model) {
     let (mut list, mut model) = (PostingList::new(true), Model::default());
-    let mut docs: Vec<u32> = (0..doc_space).filter(|_| r.gen_range(0..3) > 0).collect();
+    let mut docs: Vec<DocId> = (0..doc_space)
+        .filter(|_| r.gen_range(0..3) > 0)
+        .map(doc_id)
+        .collect();
     docs.shuffle(r);
     for &d in &docs {
         let e = entry(r, d);
@@ -235,7 +291,7 @@ fn random_list(r: &mut DetRng, doc_space: u32) -> (PostingList, Model) {
         model.publish(e);
     }
     for &d in docs.iter().filter(|_| r.gen_range(0..5) == 0) {
-        assert_eq!(list.tombstone(DocId(d)), model.tombstone(DocId(d)));
+        assert_eq!(list.tombstone(d), model.tombstone(d));
     }
     (list, model)
 }
@@ -251,19 +307,19 @@ fn publish_run_leaves_what_one_by_one_publishes_leave_in_any_order() {
         let doc_space = r.gen_range(1..40) as u32;
         let (base, mut model) = random_list(&mut r, doc_space);
         let stored: Vec<IndexEntry> = model.stored.iter().map(|(e, _)| *e).collect();
-        let tombstoned: Vec<u32> = model
+        let tombstoned: Vec<DocId> = model
             .stored
             .iter()
-            .filter_map(|(e, dead)| dead.then_some(e.doc.0))
+            .filter_map(|(e, dead)| dead.then_some(e.doc))
             .collect();
-        let mut fresh = |docs: Vec<u32>| -> Vec<IndexEntry> {
+        let mut fresh = |docs: Vec<DocId>| -> Vec<IndexEntry> {
             docs.into_iter().map(|d| entry(&mut r, d)).collect()
         };
         let mut coin = rng(&format!("run-coin-{round}"));
         let run: Vec<IndexEntry> = match round % 7 {
             0 => Vec::new(),
             // All past the last stored document.
-            1 => fresh((doc_space..doc_space + 6).collect()),
+            1 => fresh((doc_space..doc_space + 6).map(doc_id).collect()),
             // Entries already stored, byte for byte (live or not).
             2 => {
                 let keep = |_: &IndexEntry| coin.gen_range(0..2) == 0;
@@ -273,14 +329,15 @@ fn publish_run_leaves_what_one_by_one_publishes_leave_in_any_order() {
             3 => fresh(
                 (0..doc_space + 3)
                     .filter(|_| coin.gen_range(0..3) == 0)
+                    .map(doc_id)
                     .collect(),
             ),
             // Stored documents with new metadata.
-            4 => fresh(stored.iter().map(|e| e.doc.0).step_by(2).collect()),
+            4 => fresh(stored.iter().map(|e| e.doc).step_by(2).collect()),
             // Exactly the tombstoned documents.
             5 => fresh(tombstoned.clone()),
             // Several times the list: every document, and as many beyond.
-            _ => fresh((0..2 * doc_space + 2).collect()),
+            _ => fresh((0..2 * doc_space + 2).map(doc_id).collect()),
         };
 
         let mut merged = base.clone();
@@ -357,7 +414,7 @@ fn absorb_leaves_what_publishing_the_donors_live_entries_one_by_one_leaves() {
             0 => {
                 let (far, _) = random_list(&mut r, doc_space);
                 let shifted = far.to_entries().into_iter().map(|e| IndexEntry {
-                    doc: DocId(e.doc.0 + doc_space),
+                    doc: DocId(e.doc.0 + doc_id(doc_space).0),
                     ..e
                 });
                 PostingList::from_entries(shifted.collect())
@@ -375,7 +432,8 @@ fn absorb_leaves_what_publishing_the_donors_live_entries_one_by_one_leaves() {
             5 => {
                 let mut around = dest.clone();
                 for d in (0..doc_space + 4).filter(|_| coin.gen_range(0..4) == 0) {
-                    if !dest.iter().any(|e| e.doc.0 == d) {
+                    let d = doc_id(d);
+                    if !dest.iter().any(|e| e.doc == d) {
                         around.publish(entry(&mut r, d));
                     }
                 }
@@ -418,7 +476,7 @@ fn absorb_leaves_what_publishing_the_donors_live_entries_one_by_one_leaves() {
         adopted += usize::from(changed && was_empty);
         // A later publish past the end still appends to an adopted block.
         let next = dest.iter().last().map_or(0, |e| e.doc.0 + 1);
-        let e = entry(&mut r, next);
+        let e = entry(&mut r, DocId(next));
         dest.publish(e);
         one_by_one.publish(e);
         assert_eq!(dest.packed_bytes(), one_by_one.packed_bytes(), "{round}");
