@@ -1,6 +1,6 @@
 //! Corruption-injection tests: deliberately break each invariant class the
 //! checkers cover and assert the damage is detected — and that the healthy
-//! state is reported clean. The injection points (`node_mut`,
+//! state is reported clean. The injection points (the `ChordNet` setters,
 //! `inject_published`, `inject_raw`) exist for exactly this purpose; the
 //! simulation itself never calls them.
 //!
@@ -95,9 +95,7 @@ fn mutated_finger_is_detected() {
     // Point a mid-table finger at the node itself — with 16 random nodes in
     // a 128-bit space, finger[64]'s true owner is essentially never the
     // node, and the check compares against the live-ring oracle anyway.
-    net.node_mut(victim)
-        .expect("victim is alive")
-        .set_finger(64, victim);
+    net.set_finger(victim, 64, victim).expect("victim is alive");
     let found = check_ring(&net);
     assert!(
         found
@@ -121,9 +119,8 @@ fn dropped_successor_is_detected() {
         .to_vec();
     assert!(list.len() >= 2, "test needs a successor list of >= 2");
     list.remove(0);
-    net.node_mut(victim)
-        .expect("victim is alive")
-        .set_successor_list(list);
+    net.set_successor_list(victim, &list)
+        .expect("victim is alive");
     let found = check_ring(&net);
     assert!(
         found
@@ -143,9 +140,7 @@ fn dropped_successor_is_detected() {
 fn corrupt_predecessor_is_detected() {
     let mut net = ring(8);
     let victim = net.node_ids()[5];
-    net.node_mut(victim)
-        .expect("victim is alive")
-        .set_predecessor(None);
+    net.set_predecessor(victim, None).expect("victim is alive");
     let found = check_ring(&net);
     assert!(
         found

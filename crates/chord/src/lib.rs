@@ -29,7 +29,7 @@ mod store;
 pub mod trace;
 
 pub use churn::{ChurnConfig, ChurnEngine, ChurnEvent, TickReport};
-pub use node::NodeState;
+pub use node::NodeView;
 pub use ring::{ChordConfig, ChordError, ChordNet, Lookup, LookupLite, RouteMemo};
 pub use sim::SimConfig;
 pub use stats::{MsgKind, NetStats, MSG_KINDS};

@@ -153,23 +153,82 @@ fn assert_ring_invariants(net: &ChordNet, when: &str) {
     }
 }
 
-/// Scheduled failures, joins and a leave, then engine-driven churn under
-/// bounded maintenance: every repair ends in a well-formed ring whose
-/// removed members are gone and whose survivors kept their own state.
+/// The id table behind the accessors: every alive id resolves, through its
+/// slot, to its own state; every link of every alive node is a slot whose
+/// id is the one the view reports, and the index maps that id back to the
+/// same slot; and no more slots are dead than ids were removed or only
+/// pointed at (`dead_bound`).
+fn assert_store(net: &ChordNet, when: &str, dead_bound: usize) {
+    let resolve = |slot: u32| {
+        let id = net.id_at(slot).expect("links stay inside the id table");
+        assert_eq!(net.slot_of(id), Some(slot), "{when}: {id:?} interned twice");
+        id
+    };
+    for id in net.node_ids() {
+        let node = net.node(id).expect("listed node is alive");
+        assert_eq!(net.slot_of(id), Some(node.slot()), "{when}: {id:?}");
+        assert_eq!(
+            resolve(node.slot()),
+            id,
+            "{when}: {id:?} has a foreign slot"
+        );
+        assert_eq!(node.id(), id, "{when}: {id:?} resolves to a foreign state");
+        let succ: Vec<RingId> = node.successor_slots().iter().map(|&s| resolve(s)).collect();
+        assert_eq!(succ, node.successor_list(), "{when}: successors of {id:?}");
+        assert_eq!(
+            node.predecessor_slot().map(resolve),
+            node.predecessor(),
+            "{when}"
+        );
+        assert!(
+            node.finger_slots().map(resolve).eq(node.fingers()),
+            "{when}: fingers of {id:?}"
+        );
+    }
+    let dead = net.interned() - net.len();
+    assert!(
+        dead <= dead_bound,
+        "{when}: {dead} dead slots for {dead_bound} removals and injections"
+    );
+}
+
+/// Scheduled failures, rejoins, joins, a planted finger and a leave, then
+/// engine-driven churn under bounded maintenance: every repair ends in a
+/// well-formed ring whose removed members are gone, whose survivors kept
+/// their own state and whose rejoined members got their old slots back.
 #[test]
 fn ring_invariants_survive_scheduled_and_engine_churn() {
     for n in [1usize, 2, 8, 64] {
         let net = ChordNet::with_random_nodes(ChordConfig::default(), n, 9);
         assert_ring_invariants(&net, "freshly built");
+        assert_store(&net, "freshly built", 0);
+        assert_eq!(net.interned(), n, "a fresh ring interns its members only");
     }
     let mut net = ChordNet::with_random_nodes(ChordConfig::default(), 48, 17);
     let failed: Vec<RingId> = net.node_ids().into_iter().step_by(7).collect();
+    let slots: Vec<Option<u32>> = failed.iter().map(|&id| net.slot_of(id)).collect();
     for &id in &failed {
         net.fail(id).expect("listed node is alive");
     }
+    // Removals plus injected ids: the bound on dead interned slots.
+    let mut gone = failed.len();
     net.converge(64);
     assert_ring_invariants(&net, "after failures");
+    assert_store(&net, "after failures", gone);
     assert!(failed.iter().all(|&id| !net.contains(id)));
+    for &id in &failed[..3] {
+        let bootstrap = net.node_ids()[0];
+        net.join(id, bootstrap).expect("bootstrap is alive");
+    }
+    gone -= 3;
+    assert_eq!(
+        failed.iter().map(|&id| net.slot_of(id)).collect::<Vec<_>>(),
+        slots,
+        "failed ids keep their slots, and rejoin at them"
+    );
+    net.converge(64);
+    assert_ring_invariants(&net, "after rejoins");
+    assert_store(&net, "after rejoins", gone);
     for i in 0..6u64 {
         let id = RingId::hash_bytes(format!("arena-join-{i}").as_bytes());
         let bootstrap = net.node_ids()[0];
@@ -177,17 +236,33 @@ fn ring_invariants_survive_scheduled_and_engine_churn() {
     }
     net.converge(64);
     assert_ring_invariants(&net, "after joins");
+    assert_store(&net, "after joins", gone);
+    let planter = net.node_ids()[5];
+    let never_seen = RingId::hash_bytes(b"arena-never-seen");
+    net.set_finger(planter, 90, never_seen)
+        .expect("planter is alive");
+    gone += 1;
+    assert!(!net.contains(never_seen) && net.slot_of(never_seen).is_some());
+    assert_store(&net, "after a planted finger", gone);
+    net.converge(64);
+    assert_ring_invariants(&net, "after repairing the planted finger");
+    assert_store(&net, "after repairing the planted finger", gone);
     let victim = net.node_ids()[3];
     net.leave(victim).expect("listed node is alive");
+    gone += 1;
     net.converge(64);
     assert_ring_invariants(&net, "after a leave");
+    assert_store(&net, "after a leave", gone);
 
     let mut engine = ChurnEngine::new(ChurnConfig::default(), 24);
     for _ in 0..4 {
-        engine.tick(&mut net);
+        let (_, tick) = engine.tick(&mut net);
+        gone += tick.leaves + tick.fails;
         net.stabilize_round();
         net.fix_fingers_round();
+        assert_store(&net, "during engine churn", gone);
     }
     net.converge(64);
     assert_ring_invariants(&net, "after engine churn stops");
+    assert_store(&net, "after engine churn stops", gone);
 }
